@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall-time scaling of the approximation with taxon count.
 
-    python scripts/scaling_benchmark.py --sizes 25 50 100 200 --k 4
+    python scripts/scaling_benchmark.py --sizes 100 200 400 800 --k 4
 """
 
 import argparse

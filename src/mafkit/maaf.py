@@ -41,12 +41,6 @@ class ForestDigraph:
     n_vertices: int
     edges: dict
 
-    def successors(self, i: int) -> list:
-        return sorted(j for (a, j) in self.edges if a == i)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
 
 def mapped_roots(comp: PhyloTree, trees) -> list:
     """For each input tree, the node its Steiner embedding of ``comp`` hangs

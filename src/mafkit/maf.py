@@ -16,7 +16,7 @@ never be reopened by later cuts. Overlap cuts, by contrast, can create new
 overlaps with respect to trees that were already clean, so phase 2 sweeps
 the trees repeatedly until a full pass makes no cut. Every cut strictly
 reduces the forest's edge count, which bounds the total number of
-iterations by the size of the first tree.
+iterations by the size of the first tree; a cut that does not is an error.
 
 The number of edges removed is at most three per triple iteration and two
 per overlap iteration, which is what yields the factor-3 bound on the
@@ -129,6 +129,16 @@ def _overlap_cut_edge(comp: PhyloTree, t_i: PhyloTree, meet: int) -> int:
     return max(maximal, key=lambda v: (len(below[v]), -v))
 
 
+def _cut(f: Forest, edges) -> Forest:
+    """``cut_edges``, raising RuntimeError unless the forest loses an edge, so
+    a faulty cut rule fails loudly instead of looping forever."""
+    out = cut_edges(f, edges)
+    before, after = (sum(c.n_nodes - 1 for c in g.components) for g in (f, out))
+    if after >= before:
+        raise RuntimeError(f"cut {edges} did not lower the forest's edge count")
+    return out
+
+
 def maf_approx(trees) -> tuple:
     """Agreement forest of all input trees within a factor 3 of the optimal
     number of cuts, plus the log of every cut taken.
@@ -164,7 +174,7 @@ def maf_approx(trees) -> tuple:
                     (tr.host, tc.edge_c),
                     (tr.host, tc.edge_cherry),
                 )
-                forest = cut_edges(forest, edges)
+                forest = _cut(forest, edges)
                 cuts.entries.append(CutEntry("triple", i, edges, str(tr)))
                 cut_made = True
         if not cut_made:
@@ -179,7 +189,7 @@ def maf_approx(trees) -> tuple:
                 if ow is None:
                     break
                 edges = ((ow.x, ow.edge_x), (ow.y, ow.edge_y))
-                forest = cut_edges(forest, edges)
+                forest = _cut(forest, edges)
                 cuts.entries.append(
                     CutEntry("overlap", i, edges, f"components {ow.x}~{ow.y}")
                 )

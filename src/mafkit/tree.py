@@ -33,7 +33,7 @@ class PhyloTree:
     __slots__ = (
         "parent", "children", "labels", "root",
         "_canonical", "_label_node", "_depths", "_below", "_sizes",
-        "_pidx", "_pair_depth",
+        "_pidx",
     )
 
     def __init__(self, parent, children, labels, root=0):
@@ -47,7 +47,6 @@ class PhyloTree:
         self._below = None
         self._sizes = None
         self._pidx = None
-        self._pair_depth = None
 
     # ── construction ──────────────────────────────────────────────────
 
@@ -122,9 +121,6 @@ class PhyloTree:
     @property
     def n_leaves(self) -> int:
         return (len(self.parent) + 1) // 2
-
-    def is_leaf(self, u: int) -> bool:
-        return not self.children[u]
 
     @property
     def label_node(self) -> dict:

@@ -11,14 +11,23 @@ two-taxon ancestor breaking ties at equal anchors). Triples in different
 components, or with unrelated anchors, are incomparable. The search below
 always returns a minimal triple — one with no incompatible triple strictly
 below it.
+
+Queries go straight to the input tree t_i, whose preorder ids put ``v`` at
+or below ``u`` iff ``u <= v < u + size(u)``; t_i resolves ``a,b|c`` iff c is
+not below lca(a, b). Let m(v) be the LCA in t_i of the taxa L(v) below a
+component node v. Every pair split by v meets at or below m(v), and some
+such pair meets exactly there, so a triple a,b|c with a, b split by v and c
+outside L(v) conflicts iff some such c lies below m(v). That decides each
+anchor without enumerating triples; the only state is m, linear in n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .forest import Forest
-from .tree import PhyloTree, lca, restricted_canonical
+from .tree import PhyloTree, _lca2, lca, restricted_canonical
 
 
 @dataclass(frozen=True)
@@ -64,46 +73,6 @@ class TripleCuts:
     edge_cherry: int
 
 
-class _PairDepths:
-    """Per-tree lookup: depth of the LCA of any two leaves, by taxon name.
-
-    Built once per tree in O(n^2) and memoized on the tree object, so triple
-    resolution inside the hot search loop is three dict probes.
-    """
-
-    __slots__ = ("depth",)
-
-    def __init__(self, t: PhyloTree):
-        d: dict = {}
-        depths = t.depths
-        below = t._below_table()
-        for u in range(t.n_nodes):
-            ks = t.children[u]
-            if not ks:
-                continue
-            du = depths[u]
-            for la in below[ks[0]]:
-                for lb in below[ks[1]]:
-                    d[(la, lb)] = du
-                    d[(lb, la)] = du
-        self.depth = d
-
-    def outlier(self, a: str, b: str, c: str) -> str:
-        """The taxon split off by this tree's resolution of {a, b, c}."""
-        d = self.depth
-        dab = d[(a, b)]
-        dac = d[(a, c)]
-        if dab > dac:
-            return c if dab > d[(b, c)] else a
-        return b if dac > d[(b, c)] else a
-
-
-def _pair_depths(t: PhyloTree) -> _PairDepths:
-    if t._pair_depth is None:
-        t._pair_depth = _PairDepths(t)
-    return t._pair_depth
-
-
 def triple_of(t: PhyloTree, taxa) -> Triple:
     """Resolve three taxa in ``t``: returns the unique cherry-pair/outlier
     split realized there, with its anchor nodes."""
@@ -113,8 +82,9 @@ def triple_of(t: PhyloTree, taxa) -> Triple:
     missing = [x for x in taxa if x not in t.label_node]
     if missing:
         raise ValueError(f"unknown taxon {missing[0]!r}")
-    out = _pair_depths(t).outlier(*taxa)
-    a, b = [x for x in taxa if x != out]
+    x, y, z = taxa
+    out = z if _resolves(t, x, y, z) else y if _resolves(t, x, z, y) else x
+    a, b = [v for v in taxa if v != out]
     return _make_triple(t, a, b, out, host=0)
 
 
@@ -143,6 +113,29 @@ def triple_less(t: PhyloTree, first: Triple, second: Triple) -> bool:
     return pidx.is_strict_ancestor(second.cherry_lca, first.cherry_lca)
 
 
+def _below(t: PhyloTree, v: int, u: int) -> bool:
+    """True iff node v of ``t`` is at or below node u."""
+    return u <= v < u + t.sizes[u]
+
+
+def _resolves(t: PhyloTree, a: str, b: str, c: str) -> bool:
+    """True iff ``t`` resolves ``a,b|c``: c is not below lca(a, b)."""
+    node = t.label_node
+    return not _below(t, node[c], _lca2(t, node[a], node[b]))
+
+
+def _lca_map(comp: PhyloTree, t_i: PhyloTree) -> list:
+    """m[v] = the node of ``t_i`` that is the LCA of the taxa below ``comp``
+    node v, for every v; a leaf maps to its own leaf in ``t_i``."""
+    node = t_i.label_node
+    children = comp.children
+    m = [0] * comp.n_nodes
+    for v in range(comp.n_nodes - 1, -1, -1):
+        ks = children[v]
+        m[v] = _lca2(t_i, m[ks[0]], m[ks[1]]) if ks else node[comp.labels[v]]
+    return m
+
+
 def find_incompatible(f: Forest, t_i: PhyloTree):
     """A minimal incompatible triple of ``f`` with respect to ``t_i``, or
     None when every component is realized identically in ``t_i``.
@@ -151,67 +144,83 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
     incompatible triple and are skipped wholesale. Within a conflicting
     component the search walks candidate anchors deepest-first, which
     guarantees minimality; remaining ties break lexicographically on taxon
-    names so runs are reproducible.
+    names so runs are reproducible. Nothing is tabulated per tree: memory
+    stays linear in the size of the largest component.
     """
     best = None
-    resolver = _pair_depths(t_i)
     for ci, comp in enumerate(f.components):
         if comp.n_leaves < 3:
             continue
         if restricted_canonical(t_i, comp.leaf_labels) == comp.canonical():
             continue
-        cand = _deepest_conflict(comp, ci, resolver)
+        cand = _deepest_conflict(comp, ci, t_i)
         if best is None or cand.taxa_key() < best.taxa_key():
             best = cand
     return best
 
 
-def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Triple:
+def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> Triple:
     """Minimal incompatible triple of a component known to conflict.
 
-    Anchor pairs (outer, cherry) are scanned in decreasing (depth(outer),
-    depth(cherry)) order; the first depth level containing any conflict is
-    collected fully and the lexicographically least triple wins. Nothing at
-    a given level can be preceded by a triple from a shallower level, so the
-    result is minimal.
+    Anchors (outer, cherry, other) — a cherry node inside one child of outer,
+    other the other child — are scanned in decreasing (depth(outer),
+    depth(cherry)) order, built one outer depth at a time so memory stays
+    O(n). An anchor holds a conflict iff some node of other's subtree has its
+    m below m(cherry) (module docstring; an internal node's m lies there only
+    if its taxa do), found by bisecting that subtree's sorted m values. The
+    first level with a conflict is enumerated with one LCA per pair (a, b),
+    keeping the lexicographically least triple. Nothing at that level can be
+    preceded by a triple from a shallower level, so the result is minimal.
     """
     depths = comp.depths
-    below = comp._below_table()
     children = comp.children
     sizes = comp.sizes
+    t_sizes = t_i.sizes
+    m = _lca_map(comp, t_i)
 
-    anchor_pairs = []
-    for outer in range(comp.n_nodes):
-        ks = children[outer]
-        if not ks:
-            continue
-        for side in (0, 1):
-            top = ks[side]
-            other = ks[1 - side]
-            for cherry in range(top, top + sizes[top]):
-                if children[cherry]:
-                    anchor_pairs.append(
-                        (-depths[outer], -depths[cherry], outer, cherry, other)
-                    )
-    anchor_pairs.sort()
+    def taxa(u: int) -> list:
+        return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
 
-    found: list[tuple] = []
-    level = None
-    for noud, novd, outer, cherry, other in anchor_pairs:
-        if found and (noud, novd) != level:
-            break
-        level = (noud, novd)
-        outlier = resolver.outlier
-        for a in below[children[cherry][0]]:
-            for b in below[children[cherry][1]]:
-                for c in below[other]:
-                    if outlier(a, b, c) != c:
-                        p, q = (a, b) if a <= b else (b, a)
-                        found.append(((p, q, c), outer, cherry))
-    if not found:
-        raise AssertionError("component conflicts but no incompatible triple found")
-    (a, b, c), outer, cherry = min(found)
-    return Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
+    outers_at: list = [[] for _ in range(max(depths) + 1)]
+    for u in range(comp.n_nodes):
+        if children[u]:
+            outers_at[depths[u]].append(u)
+
+    best = None
+    for outers in reversed(outers_at):
+        anchors, spans = [], {}
+        for outer in outers:
+            ks = children[outer]
+            for top, other in (ks, ks[::-1]):
+                if children[top]:
+                    spans[other] = sorted(m[other : other + sizes[other]])
+                for cherry in range(top, top + sizes[top]):
+                    if children[cherry]:
+                        anchors.append((-depths[cherry], outer, cherry, other))
+        anchors.sort()
+        level = None
+        for novd, outer, cherry, other in anchors:
+            if best is not None and novd != level:
+                break
+            ps = spans[other]
+            i = bisect_left(ps, m[cherry])
+            if i == len(ps) or not _below(t_i, ps[i], m[cherry]):
+                continue
+            level = novd
+            outside = taxa(other)
+            left, right = children[cherry]
+            for a, pa in taxa(left):
+                for b, pb in taxa(right):
+                    y = _lca2(t_i, pa, pb)
+                    y_hi = y + t_sizes[y]
+                    c = min((x for x, px in outside if y <= px < y_hi), default=None)
+                    if c is not None:
+                        cand = ((a, b, c) if a <= b else (b, a, c), outer, cherry)
+                        best = cand if best is None else min(best, cand)
+        if best is not None:
+            (a, b, c), outer, cherry = best
+            return Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
+    raise AssertionError("component conflicts but no incompatible triple found")
 
 
 def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
@@ -221,48 +230,38 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     taking the first edge below which every other taxon c' still pairs with
     c against both a and b in ``t_i`` (inside the host component this holds
     by construction, since everything below that edge is on c's side of the
-    triple ancestor). The walk always terminates: the parent edge of leaf c
-    satisfies the condition vacuously.
+    triple ancestor). The LCAs of c with each such c' all lie on c's root
+    path in ``t_i``, the highest being m(node), so the condition holds iff
+    neither a nor b is below m(node): one interval test per step. The walk
+    always terminates: the parent edge of leaf c satisfies the condition
+    vacuously.
     """
     comp = f.components[tr.host]
-    resolver = _pair_depths(t_i)
-    if resolver.outlier(tr.a, tr.b, tr.c) == tr.c:
+    if _resolves(t_i, tr.a, tr.b, tr.c):
         raise ValueError(f"triple {tr} is not incompatible with this tree")
 
-    below = comp._below_table()
-    sizes = comp.sizes
-    a_node = comp.label_node[tr.a]
     c_node = comp.label_node[tr.c]
 
     def child_toward(u: int, target: int) -> int:
         for k in comp.children[u]:
-            if k <= target < k + sizes[k]:
+            if _below(comp, target, k):
                 return k
         raise AssertionError("target not below node")
 
-    edge_a = child_toward(tr.cherry_lca, a_node)
+    edge_a = child_toward(tr.cherry_lca, comp.label_node[tr.a])
     edge_b = [k for k in comp.children[tr.cherry_lca] if k != edge_a][0]
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)
 
-    outlier = resolver.outlier
+    m = _lca_map(comp, t_i)
+    pa, pb = t_i.label_node[tr.a], t_i.label_node[tr.b]
     node = child_toward(tr.triple_lca, c_node)
-    while True:
-        ok = True
-        for other in below[node]:
-            if other == tr.c:
-                continue
-            if outlier(tr.c, other, tr.a) != tr.a or outlier(tr.c, other, tr.b) != tr.b:
-                ok = False
-                break
-        if ok:
-            break
+    while _below(t_i, pa, m[node]) or _below(t_i, pb, m[node]):
         node = child_toward(node, c_node)
-    edge_c = node
 
     return TripleCuts(
         host=tr.host,
         edge_a=edge_a,
         edge_b=edge_b,
-        edge_c=edge_c,
+        edge_c=node,
         edge_cherry=edge_cherry,
     )

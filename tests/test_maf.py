@@ -16,6 +16,7 @@ from mafkit import (
     parse,
     rspr_upper_bound,
 )
+from mafkit import maf
 from mafkit.oracle import exact_maf_forest
 
 from helpers import forest_canon
@@ -133,3 +134,18 @@ def test_each_cut_lowers_the_optimum(seed):
         forest = cut_edges(forest, entry.edges)
         after = exact_maf_forest(forest, trees).min_cuts
         assert after <= before - 1
+
+
+@pytest.mark.parametrize("phase", ["triple", "overlap"])
+def test_cut_that_removes_no_edge_raises(monkeypatch, phase):
+    """A cut rule that stops shrinking the forest must error, not hang."""
+    trees = instance(GenSpec(n=8, k=2, moves=3, seed=1))
+    assert {e.phase for e in maf_approx(trees)[1].entries} == {"triple", "overlap"}
+    width = {"triple": 3, "overlap": 2}[phase]
+    monkeypatch.setattr(
+        maf,
+        "cut_edges",
+        lambda f, edges: f if len(edges) == width else cut_edges(f, edges),
+    )
+    with pytest.raises(RuntimeError, match="did not lower"):
+        maf_approx(trees)

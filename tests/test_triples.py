@@ -8,15 +8,19 @@ from hypothesis import given, settings, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
+    PhyloTree,
     cut_edges,
     find_incompatible,
     instance,
     locate_cuts,
+    maf_approx,
     parse,
     triple_less,
     triple_of,
 )
-from mafkit.triples import _make_triple, _pair_depths
+from mafkit.triples import _make_triple
+
+import reference_triples as ref
 
 
 def test_triple_of_reads_the_shape():
@@ -53,12 +57,12 @@ def test_find_incompatible_examples():
 
 
 def _all_incompatible(forest, tree):
-    resolver = _pair_depths(tree)
+    resolver = ref.pair_depths(tree)
     out = []
     for ci, comp in enumerate(forest.components):
         if comp.n_leaves < 3:
             continue
-        local = _pair_depths(comp)
+        local = ref.pair_depths(comp)
         for trio in itertools.combinations(sorted(comp.leaf_labels), 3):
             outlier = local.outlier(*trio)
             if resolver.outlier(*trio) != outlier:
@@ -154,3 +158,60 @@ def test_cut_separates_the_triple(seed):
         for comp in after.components
     ]
     assert all(len(h) <= 1 for h in homes)
+
+
+def _assert_matches_reference(trees):
+    """Replay a maf_approx run cut by cut. On every intermediate forest and
+    every tree, the triple search and the cut placement must return exactly
+    what the pairwise-table reference returns."""
+    final, cuts = maf_approx(trees)
+    forest = Forest.from_tree(trees[0])
+    for entry in [None, *cuts.entries]:
+        if entry is not None:
+            forest = cut_edges(forest, entry.edges)
+        for t in trees[1:]:
+            got = find_incompatible(forest, t)
+            assert got == ref.find_incompatible(forest, t)
+            if got is not None:
+                assert locate_cuts(forest, got, t) == ref.locate_cuts(forest, got, t)
+    assert [c.canonical() for c in forest.components] == [
+        c.canonical() for c in final.components
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=40),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_search_matches_reference_on_every_intermediate_forest(n, k, moves, seed):
+    _assert_matches_reference(instance(GenSpec(n=n, k=k, moves=moves, seed=seed)))
+
+
+def _caterpillar(order):
+    nested = order[0]
+    for lab in order[1:]:
+        nested = (nested, lab)
+    return PhyloTree.from_nested(nested)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_search_matches_reference_on_caterpillars(data):
+    """Caterpillars have depth n, so every LCA walk is as long as it gets."""
+    n = data.draw(st.integers(min_value=4, max_value=30))
+    k = data.draw(st.integers(min_value=2, max_value=3))
+    taxa = [f"t{i}" for i in range(n)]
+    trees = [_caterpillar(data.draw(st.permutations(taxa))) for _ in range(k)]
+    _assert_matches_reference(trees)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=12), st.integers(min_value=0, max_value=10**6))
+def test_triple_of_matches_reference(n, seed):
+    t = instance(GenSpec(n=n, k=2, moves=0, seed=seed))[0]
+    resolver = ref.pair_depths(t)
+    for trio in itertools.combinations(sorted(t.leaf_labels), 3):
+        assert triple_of(t, trio).c == resolver.outlier(*trio)
