@@ -79,15 +79,41 @@ def _grafted_nested(t: PhyloTree, target: int, graft):
 def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     """Random topology over taxa t1..tn by sequential leaf attachment: each
     new leaf lands on a uniformly chosen spot among all edges plus the
-    position above the root. Deterministic per (seed, stream)."""
+    position above the root. Deterministic per (seed, stream).
+
+    The growing tree is kept as preorder labels (None for internal nodes)
+    plus subtree sizes. Attaching above node ``target`` inserts the new
+    internal node at ``target``'s slot and the new leaf right after
+    ``target``'s subtree, and grows each ancestor by two, so a step costs
+    one root-to-target walk and two list inserts.
+    """
     if n < 1:
         raise ValueError("need at least one taxon")
     rng = SeededRng(seed, stream)
-    tree = PhyloTree.from_nested("t1")
+    labels: list[str | None] = ["t1"]
+    sizes = [1]
     for i in range(2, n + 1):
-        target = rng.below(tree.n_nodes)  # 0 = above the root
-        tree = PhyloTree.from_nested(_grafted_nested(tree, target, f"t{i}"))
-    return tree
+        target = rng.below(len(labels))  # 0 = above the root
+        u = 0
+        while u != target:
+            sizes[u] += 2
+            u += 1  # left child; step over its subtree if target is right
+            if target >= u + sizes[u]:
+                u += sizes[u]
+        end = target + sizes[target]
+        labels.insert(end, f"t{i}")
+        sizes.insert(end, 1)
+        labels.insert(target, None)
+        sizes.insert(target, sizes[target] + 2)
+    parent = [-1] * len(labels)
+    children: list[tuple] = [()] * len(labels)
+    for u, lab in enumerate(labels):
+        if lab is None:
+            left = u + 1
+            right = left + sizes[left]
+            children[u] = (left, right)
+            parent[left] = parent[right] = u
+    return PhyloTree(parent, children, labels)
 
 
 def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:

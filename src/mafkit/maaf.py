@@ -16,8 +16,8 @@ disjoint regions strictly below the component's mapped root in every tree.
 Longer cycles can in principle survive the pairwise loop, so the digraph is
 rebuilt afterwards and any remaining cycle is broken with the same two-edge
 rule applied to an adjacent pair on it, after which the queue resumes. Each
-round removes two edges, so the whole process is bounded by the size of the
-first tree.
+round removes at least two edges, so the whole process is bounded by the
+size of the first tree; a cut that removes none is an error.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .forest import Forest, cut_edges, is_agreement_forest
-from .maf import CutEntry, CutSet, maf_approx
+from .forest import Forest, is_agreement_forest
+from .maf import CutEntry, CutSet, _cut, maf_approx
 from .tree import PhyloTree, lca
 
 
@@ -187,7 +187,7 @@ def maaf_approx(f: Forest, trees) -> tuple:
         ex = _cycle_cut_edge(x, y, trees[t_yx])
         ey = _cycle_cut_edge(y, x, trees[t_xy])
         edges = ((xi, ex), (yi, ey))
-        snapshot = cut_edges(Forest(tuple(work), f.origin_labels), edges)
+        snapshot = _cut(Forest(tuple(work), f.origin_labels), edges)
         lo, hi = (xi, yi) if xi < yi else (yi, xi)
         # each root cut yields exactly two labeled pieces, in place
         pieces_lo = snapshot.components[lo : lo + 2]

@@ -8,6 +8,23 @@ produced by m - 1 deletions from the first tree — detach a component with a
 deepest embedding root and recurse — so the minimum cut count and the
 minimum forest size determine each other and enumerating subsets of the
 first tree's edges is exhaustive.
+
+A subset is judged by the leaf partition it induces, not by a built forest.
+With taxa numbered as bits, every node of the starting forest carries the
+mask of the leaves below it; taking the cut children in descending preorder
+id, each detached piece is its node's mask minus the leaves already claimed
+by deeper cuts, and what no cut claims stays with its component's root.
+A piece is the restriction of its starting component to the piece's taxa,
+so it agrees with the input trees exactly when ``restricted_canonical``
+gives the same form in each of them as in that component. The verdict
+depends on the leaf set alone and is memoised in one byte per subset of the
+taxa: at most 2^16 bytes (64 KiB) under the taxon cap. In each input tree,
+a piece's embedding below its lca is the union of its leaves' root paths
+(node bitmasks) minus their intersection, and two pieces overlap exactly
+when these masks share a bit. Only a subset that passes both tests becomes
+a ``Forest`` (for the acyclic variant, its component digraph decides), and
+the winner is confirmed by ``is_agreement_forest`` before it is returned; a
+winner it rejects raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -17,8 +34,12 @@ from itertools import combinations
 
 from .forest import Forest, cut_edges, is_agreement_forest
 from .maaf import build_gf, is_acyclic
+from .tree import restricted_canonical
 
 HARD_TAXON_CAP = 16
+
+# verdicts in the per-leaf-set memo; 0 means not yet decided
+_AGREES, _DISAGREES = 1, 2
 
 
 @dataclass(frozen=True)
@@ -32,19 +53,96 @@ class OracleResult:
     witness_edges: tuple
 
 
-def _search(start: Forest, trees, max_cuts, predicate):
+def _partition_test(start: Forest, trees):
+    """A function telling whether cutting a subset of ``start.all_edges()``
+    (in that order) leaves an agreement forest of ``trees``."""
+    for t in trees:
+        if t.leaf_labels != start.origin_labels:
+            raise ValueError("label-set mismatch between forest and input trees")
+    if not start.taxon_partition_ok():
+        raise ValueError("forest components do not partition the taxon set")
+    leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
+    comp_of = {}  # leaf bit -> the start component holding that leaf
+    below = []  # per start component, per node: the leaves below it
+    for comp in start.components:
+        masks = [0] * comp.n_nodes
+        for u in range(comp.n_nodes - 1, -1, -1):
+            ks = comp.children[u]
+            if ks:
+                masks[u] = masks[ks[0]] | masks[ks[1]]
+            else:
+                masks[u] = leaf_bit[comp.labels[u]]
+                comp_of[masks[u]] = comp
+        below.append(masks)
+    wholes = [masks[0] for masks in below]
+    leaf_paths = []  # per input tree, per leaf bit: the nodes up to the root
+    for t in trees:
+        path = [1] * t.n_nodes
+        for u in range(1, t.n_nodes):
+            path[u] = path[t.parent[u]] | 1 << u
+        leaf_paths.append({leaf_bit[lab]: path[u] for lab, u in t.label_node.items()})
+    memo = bytearray(1 << len(leaf_bit))
+
+    def verdict(piece: int) -> int:
+        labs = frozenset(lab for lab, b in leaf_bit.items() if piece & b)
+        form = restricted_canonical(comp_of[piece & -piece], labs)
+        if all(restricted_canonical(t, labs) == form for t in trees):
+            return _AGREES
+        return _DISAGREES
+
+    def agrees(subset) -> bool:
+        pieces = []
+        claimed = 0
+        for ci, v in reversed(subset):
+            pieces.append(below[ci][v] & ~claimed)
+            claimed |= below[ci][v]
+        pieces.extend(whole & ~claimed for whole in wholes)
+        pieces = [p for p in pieces if p]
+        for p in pieces:
+            if not memo[p]:
+                memo[p] = verdict(p)
+            if memo[p] == _DISAGREES:
+                return False
+        for paths in leaf_paths:
+            used = 0
+            for p in pieces:
+                union, common = 0, -1
+                rest = p
+                while rest:
+                    low = rest & -rest
+                    union |= paths[low]
+                    common &= paths[low]
+                    rest ^= low
+                # the embedding minus its top node, the lca: two embeddings
+                # that share a node also share one strictly below an lca
+                nodes = union & ~common
+                if used & nodes:
+                    return False
+                used |= nodes
+        return True
+
+    return agrees
+
+
+def _search(start: Forest, trees, max_cuts, acyclic: bool):
     n_taxa = len(start.origin_labels)
     if n_taxa > HARD_TAXON_CAP:
         raise ValueError(
             f"exact search on {n_taxa} taxa would not finish; cap is {HARD_TAXON_CAP}"
         )
+    agrees = _partition_test(start, trees)
     pool = start.all_edges()
     budget = len(pool) if max_cuts is None else min(max_cuts, len(pool))
     for size in range(budget + 1):
         for subset in combinations(pool, size):
+            if not agrees(subset):
+                continue
             candidate = cut_edges(start, subset)
-            if predicate(candidate):
-                return OracleResult(size, candidate, subset)
+            if acyclic and not is_acyclic(build_gf(candidate, trees, validate=False)):
+                continue
+            if not is_agreement_forest(candidate, trees):
+                raise RuntimeError(f"cutting {subset} passed the partition test only")
+            return OracleResult(size, candidate, subset)
     return None
 
 
@@ -63,7 +161,7 @@ def exact_maf_forest(start: Forest, trees, max_cuts=None):
     """Minimum number of edges to delete from ``start`` so that what remains
     is an agreement forest of the trees; None if over ``max_cuts``."""
     trees = _check_inputs(trees)
-    return _search(start, trees, max_cuts, lambda f: is_agreement_forest(f, trees))
+    return _search(start, trees, max_cuts, acyclic=False)
 
 
 def exact_maf(trees, max_cuts=None):
@@ -75,13 +173,7 @@ def exact_maaf_forest(start: Forest, trees, max_cuts=None):
     """Like ``exact_maf_forest`` but the surviving forest's component
     digraph must also be acyclic (which can force strictly more cuts)."""
     trees = _check_inputs(trees)
-
-    def ok(f: Forest) -> bool:
-        return is_agreement_forest(f, trees) and is_acyclic(
-            build_gf(f, trees, validate=False)
-        )
-
-    return _search(start, trees, max_cuts, ok)
+    return _search(start, trees, max_cuts, acyclic=True)
 
 
 def exact_maaf(trees, max_cuts=None):

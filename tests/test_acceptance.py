@@ -8,6 +8,7 @@ oracle; nothing here is tuned or tolerance-padded.
 import itertools
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,7 @@ from mafkit import (
 from mafkit.cli import main
 from mafkit.tree import _lca2
 
-from helpers import all_topologies, forest_canon
+from helpers import all_topologies, forest_canon, forest_newicks
 
 
 def _derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):
@@ -56,13 +57,58 @@ def test_c1_validity_500_random_instances():
     print(f"\ncriterion 1: 500/500 valid in {time.perf_counter() - started:.1f}s")
 
 
+def _replay(forest, entries):
+    """Re-apply a cut log entry by entry, checking each step, and return
+    the forest it ends with."""
+    for entry in entries:
+        width = {"triple": 3, "overlap": 2, "cycle": 2}[entry.phase]
+        assert len(set(entry.edges)) == len(entry.edges) == width, entry
+        for ci, v in entry.edges:
+            assert 0 <= ci < forest.size, entry
+            assert 1 <= v < forest.components[ci].n_nodes, entry
+        after = cut_edges(forest, entry.edges)
+        assert _edge_count(after) < _edge_count(forest), entry
+        forest = after
+    return forest
+
+
+def _edge_count(forest):
+    return sum(c.n_nodes - 1 for c in forest.components)
+
+
+def test_c1_cut_logs_replay():
+    """On the criterion-1 instances, replaying the maf cut log from the
+    first tree rebuilds the maf forest, and replaying the cycle log from it
+    rebuilds the acyclic forest; every entry names existing, distinct edges
+    (3 for a triple, 2 for an overlap or a cycle) and lowers the edge count."""
+    phases = Counter()
+    for idx in range(500):
+        spec = _derived_params(101, idx, 4, 12, 4, 4)
+        trees = instance(spec)
+        forest, cuts = maf_approx(trees)
+        acyclic_forest, cycle_cuts = maaf_approx(forest, trees)
+        replayed = _replay(Forest.from_tree(trees[0]), cuts.entries)
+        assert forest_newicks(replayed) == forest_newicks(forest), spec
+        replayed = _replay(forest, cycle_cuts.entries)
+        assert forest_newicks(replayed) == forest_newicks(acyclic_forest), spec
+        phases.update(e.phase for e in cuts.entries + cycle_cuts.entries)
+    assert set(phases) == {"triple", "overlap", "cycle"}, phases
+    print(f"\ncriterion 1: 500/500 cut logs replayed ({dict(phases)})")
+
+
+# 200 instances with n in [4,8] plus 40 with n in [9,12]; k in {2,3},
+# moves in [0,3]
+RATIO_SPECS = [_derived_params(202, idx, 4, 8, 3, 3) for idx in range(200)] + [
+    _derived_params(303, idx, 9, 12, 3, 3) for idx in range(40)
+]
+
+
 @pytest.fixture(scope="module")
 def ratio_instances():
-    """200 oracle-tractable instances with approximation and exact results,
+    """Oracle-tractable instances with approximation and exact results,
     shared by the two ratio criteria."""
     rows = []
-    for idx in range(200):
-        spec = _derived_params(202, idx, 4, 8, 3, 3)
+    for spec in RATIO_SPECS:
         trees = instance(spec)
         forest, cuts = maf_approx(trees)
         acyclic_forest, cycle_cuts = maaf_approx(forest, trees)
@@ -88,7 +134,8 @@ def test_c2_maf_ratio_exact_inequality(ratio_instances):
         assert total <= 3 * opt, row["spec"]
         if opt:
             worst = max(worst, total / opt)
-    print(f"\ncriterion 2: 200/200 within ratio 3 (worst observed {worst:.2f})")
+    count = len(ratio_instances)
+    print(f"\ncriterion 2: {count}/{count} within ratio 3 (worst observed {worst:.2f})")
 
 
 def test_c3_maaf_ratio_exact_inequality(ratio_instances):
@@ -97,7 +144,8 @@ def test_c3_maaf_ratio_exact_inequality(ratio_instances):
     for row in ratio_instances:
         total = row["maf_cut_edges"] + row["cycle_cut_edges"]
         assert total <= 3 * row["opt_maaf"], row["spec"]
-    print("\ncriterion 3: 200/200 within acyclic ratio 3")
+    count = len(ratio_instances)
+    print(f"\ncriterion 3: {count}/{count} within acyclic ratio 3")
 
 
 def test_c4_distance_identities_exhaustive():

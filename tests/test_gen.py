@@ -14,6 +14,8 @@ from mafkit import (
     write_trees,
 )
 
+import reference_gen
+
 
 def test_rng_golden_values():
     """The RNG update rule is a published contract; freeze its output."""
@@ -100,3 +102,17 @@ def test_walk_bounds_exact_distance():
         t1, t2 = instance(GenSpec(n=n, k=2, moves=moves, seed=idx))
         d = exact_rspr(t1, t2)
         assert d <= moves
+
+
+def test_random_tree_matches_reference():
+    """In-place growth gives the very node tables the rebuild-per-leaf
+    original gave: every n from 1 to 40 over 40 seeds, and sizes up to 300
+    on a few more seeds and streams."""
+    cases = [(n, seed, 0) for seed in range(40) for n in range(1, 41)]
+    cases += [(n, seed, seed * 65537) for seed in range(3) for n in (64, 101, 150, 222, 300)]
+    for n, seed, stream in cases:
+        fast = random_tree(n, seed, stream)
+        slow = reference_gen.random_tree(n, seed, stream)
+        assert fast.parent == slow.parent, (n, seed, stream)
+        assert fast.children == slow.children, (n, seed, stream)
+        assert fast.labels == slow.labels, (n, seed, stream)

@@ -90,6 +90,18 @@ def test_maaf_breaks_the_two_cycle_with_one_entry():
     assert is_acyclic(build_gf(out, trees))
 
 
+def test_cycle_cut_that_removes_no_edge_raises(monkeypatch):
+    """A cycle cut that stops shrinking the forest must error, not loop."""
+    from mafkit import cut_edges, maf
+
+    f, trees = two_cycle_fixture()
+    monkeypatch.setattr(
+        maf, "cut_edges", lambda g, edges: g if len(edges) == 2 else cut_edges(g, edges)
+    )
+    with pytest.raises(RuntimeError, match="did not lower"):
+        maaf_approx(f, trees)
+
+
 def test_singleton_forest_needs_no_cuts():
     t1 = parse("((a,b),c);")
     t2 = parse("((a,c),b);")

@@ -6,15 +6,21 @@ from hypothesis import given, settings, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
+    SeededRng,
     cut_edges,
     exact_maaf,
+    exact_maaf_forest,
     exact_maf,
+    exact_maf_forest,
     exact_rspr,
     instance,
     is_agreement_forest,
+    maf_approx,
     parse,
     random_tree,
 )
+
+import reference_oracle
 
 
 def test_identical_trees_need_zero_cuts():
@@ -104,3 +110,56 @@ def test_witness_size_matches_cut_count(seed):
     )
     res = exact_maf(trees)
     assert res.witness_forest.size == res.min_cuts + 1
+
+
+def _result_key(res):
+    if res is None:
+        return None
+    forms = tuple(c.canonical() for c in res.witness_forest.components)
+    return res.min_cuts, res.witness_edges, forms
+
+
+def test_search_matches_reference():
+    """The leaf-partition search returns exactly what building and checking
+    every candidate forest returns: same optimum, same first witness edge
+    set, same components in the same order. Searches start from the first
+    tree and from two split forests: the approximate forest of the first two
+    trees, and the first tree with two random edges cut. A budget one short
+    of the optimum must give None."""
+    split_starts = short_budgets = 0
+    for idx in range(40):
+        rng = SeededRng(71, stream=idx)
+        spec = GenSpec(
+            n=3 + rng.below(7), k=2 + rng.below(3), moves=rng.below(4), seed=idx
+        )
+        trees = instance(spec)
+        first = Forest.from_tree(trees[0])
+        pool = first.all_edges()
+        random_cut = cut_edges(first, [pool[rng.below(len(pool))] for _ in range(2)])
+        starts = [first, maf_approx(trees[:2])[0], random_cut]
+        split_starts += sum(f.size > 1 for f in starts)
+        cases = [
+            (exact_maf, reference_oracle.exact_maf, (trees,)),
+            (exact_maaf, reference_oracle.exact_maaf, (trees,)),
+        ]
+        for f in starts[1:]:
+            cases.append((exact_maf_forest, reference_oracle.exact_maf_forest, (f, trees)))
+            cases.append((exact_maaf_forest, reference_oracle.exact_maaf_forest, (f, trees)))
+        for fast, slow, args in cases:
+            expected = slow(*args)
+            where = (fast.__name__, spec)
+            assert _result_key(fast(*args)) == _result_key(expected), where
+            if expected.min_cuts:
+                assert fast(*args, max_cuts=expected.min_cuts - 1) is None, where
+                short_budgets += 1
+    assert split_starts >= 50 and short_budgets >= 90, (split_starts, short_budgets)
+
+
+def test_winner_is_rechecked(monkeypatch):
+    """The partition test never decides alone: a winner the full agreement
+    check rejects is an error, not a result."""
+    from mafkit import oracle
+
+    monkeypatch.setattr(oracle, "is_agreement_forest", lambda f, trees: False)
+    with pytest.raises(RuntimeError, match="partition test"):
+        exact_maf([parse("((a,b),c);"), parse("((a,c),b);")])
