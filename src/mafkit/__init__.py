@@ -28,22 +28,14 @@ from .oracle import (
     exact_maf_forest,
     exact_rspr,
 )
-from .tree import (
-    Element,
-    PhyloTree,
-    PreorderIndex,
-    element_less,
-    lca,
-    restrict,
-)
-from .triples import Triple, TripleCuts, find_incompatible, locate_cuts, triple_less, triple_of
+from .tree import PhyloTree, lca, restrict
+from .triples import Triple, TripleCuts, find_incompatible, locate_cuts
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CutEntry",
     "CutSet",
-    "Element",
     "Forest",
     "ForestDigraph",
     "GenSpec",
@@ -51,13 +43,11 @@ __all__ = [
     "OracleResult",
     "OverlapWitness",
     "PhyloTree",
-    "PreorderIndex",
     "SeededRng",
     "Triple",
     "TripleCuts",
     "build_gf",
     "cut_edges",
-    "element_less",
     "exact_hybridization",
     "exact_maaf",
     "exact_maaf_forest",
@@ -84,7 +74,5 @@ __all__ = [
     "serialize",
     "spr_move",
     "steiner_nodes",
-    "triple_less",
-    "triple_of",
     "write_trees",
 ]

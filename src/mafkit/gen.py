@@ -66,7 +66,12 @@ class GenSpec:
 def _grafted_nested(t: PhyloTree, target: int, graft):
     """Nested form of ``t`` with ``graft`` attached on the parent edge of
     ``target`` via a new node (the whole-tree root when target is the root,
-    which plants the graft above the old root)."""
+    which plants the graft above the old root).
+
+    A plain loop, not ``tree.fold``: the graft depends on the node id, which
+    a fold's join does not see, and every SPR move of every generated
+    instance runs this sweep.
+    """
     out = [None] * t.n_nodes
     for u in range(t.n_nodes - 1, -1, -1):
         ks = t.children[u]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .forest import Forest, is_agreement_forest
 from .maf import CutEntry, CutSet, _cut, maf_approx
-from .tree import PhyloTree, lca
+from .tree import PhyloTree, below, lca, lca_map
 
 
 @dataclass
@@ -52,7 +52,7 @@ def mapped_roots(comp: PhyloTree, trees) -> list:
 def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     """The ancestry digraph of ``f`` over the input trees.
 
-    Ancestor tests run on preorder intervals. With ``validate`` (the
+    Ancestor tests run on preorder id ranges. With ``validate`` (the
     default), raises ValueError when ``f`` is not an agreement forest of the
     trees — mapped roots of distinct components are only guaranteed distinct
     in that case.
@@ -63,11 +63,11 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     m = f.size
     edges: dict = {}
     for ti, t in enumerate(trees):
-        pidx = t.preorder_index()
         for i in range(m):
             ri = roots[i][ti]
             for j in range(m):
-                if i != j and pidx.is_strict_ancestor(ri, roots[j][ti]):
+                rj = roots[j][ti]
+                if ri != rj and below(t, rj, ri):
                     edges.setdefault((i, j), []).append(ti)
     return ForestDigraph(m, {k: tuple(v) for k, v in sorted(edges.items())})
 
@@ -130,10 +130,10 @@ def _two_cycle_witness(roots_x, roots_y, trees):
     """(tree where x dominates y, tree where y dominates x), or None."""
     forward = backward = None
     for ti, t in enumerate(trees):
-        pidx = t.preorder_index()
-        if forward is None and pidx.is_strict_ancestor(roots_x[ti], roots_y[ti]):
+        rx, ry = roots_x[ti], roots_y[ti]
+        if forward is None and rx != ry and below(t, ry, rx):
             forward = ti
-        if backward is None and pidx.is_strict_ancestor(roots_y[ti], roots_x[ti]):
+        if backward is None and rx != ry and below(t, rx, ry):
             backward = ti
     if forward is None or backward is None:
         return None
@@ -153,10 +153,9 @@ def _cycle_cut_edge(comp: PhyloTree, partner: PhyloTree, witness: PhyloTree) -> 
     if not ks:
         raise ValueError("cannot cut a single-leaf component")
     partner_root = lca(witness, partner.leaf_labels)
-    pidx = witness.preorder_index()
+    m = lca_map(comp, witness)
     for child in ks:
-        side_root = lca(witness, comp.labels_below(child))
-        if pidx.is_ancestor(partner_root, side_root):
+        if below(witness, m[child], partner_root):
             return child
     return ks[0]
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .forest import Forest, cut_edges, steiner_nodes
-from .tree import PhyloTree
+from .tree import PhyloTree, below, lca_map
 from .triples import find_incompatible, locate_cuts
 
 
@@ -109,24 +109,20 @@ def _overlap_cut_edge(comp: PhyloTree, t_i: PhyloTree, meet: int) -> int:
     """Edge of ``comp`` to cut for an overlap met at ``meet`` in ``t_i``.
 
     Qualifying edges are those whose whole leaf set descends from ``meet``
-    in ``t_i``; the set is closed downward and never empty (at least one of
-    the component's leaves sits below any shared node). Cutting a minimal
-    qualifying edge (a leaf edge) cannot be meant, since it need not shrink
-    the shared region, so take a maximal one — the edge closest to the
-    component's root that still qualifies — breaking ties toward the larger
-    detached subtree, then the smaller node id.
+    in ``t_i``, i.e. whose leaves' LCA in ``t_i`` lies below ``meet``; the
+    set is closed downward and never empty (at least one of the component's
+    leaves sits below any shared node). Cutting a minimal qualifying edge (a
+    leaf edge) cannot be meant, since it need not shrink the shared region,
+    so take a maximal one — the edge closest to the component's root that
+    still qualifies — breaking ties toward the larger detached subtree, then
+    the smaller node id. A qualifying edge with the largest subtree is
+    maximal, since a qualifying edge above it would detach more.
     """
-    pidx = t_i.preorder_index()
-    leaf_of = t_i.label_node
-    below = comp._below_table()
-
-    def qualifies(v: int) -> bool:
-        return all(pidx.is_ancestor(meet, leaf_of[lab]) for lab in below[v])
-
-    quals = [v for v in range(1, comp.n_nodes) if qualifies(v)]
-    parent = comp.parent
-    maximal = [v for v in quals if parent[v] == comp.root or parent[v] not in set(quals)]
-    return max(maximal, key=lambda v: (len(below[v]), -v))
+    quals = [below(t_i, x, meet) for x in lca_map(comp, t_i)]
+    sizes = comp.sizes
+    return max(
+        (v for v in range(1, comp.n_nodes) if quals[v]), key=lambda v: (sizes[v], -v)
+    )
 
 
 def _cut(f: Forest, edges) -> Forest:

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .forest import Forest
-from .tree import PhyloTree, _lca2, lca, restricted_canonical
+from .tree import PhyloTree, _lca2, below, lca_map, restricted_canonical
 
 
 @dataclass(frozen=True)
@@ -73,67 +73,10 @@ class TripleCuts:
     edge_cherry: int
 
 
-def triple_of(t: PhyloTree, taxa) -> Triple:
-    """Resolve three taxa in ``t``: returns the unique cherry-pair/outlier
-    split realized there, with its anchor nodes."""
-    taxa = sorted(set(taxa))
-    if len(taxa) != 3:
-        raise ValueError(f"need exactly 3 distinct taxa, got {taxa}")
-    missing = [x for x in taxa if x not in t.label_node]
-    if missing:
-        raise ValueError(f"unknown taxon {missing[0]!r}")
-    x, y, z = taxa
-    out = z if _resolves(t, x, y, z) else y if _resolves(t, x, z, y) else x
-    a, b = [v for v in taxa if v != out]
-    return _make_triple(t, a, b, out, host=0)
-
-
-def _make_triple(t: PhyloTree, a: str, b: str, c: str, host: int) -> Triple:
-    return Triple(
-        a=min(a, b),
-        b=max(a, b),
-        c=c,
-        host=host,
-        cherry_lca=lca(t, (a, b)),
-        triple_lca=lca(t, (a, b, c)),
-    )
-
-
-def triple_less(t: PhyloTree, first: Triple, second: Triple) -> bool:
-    """Partial order used to pick minimal incompatible triples: ``first``
-    precedes ``second`` when second's anchors sit strictly above first's.
-    Both triples must be anchored in the same component ``t``."""
-    if first.host != second.host:
-        return False
-    pidx = t.preorder_index()
-    if first.triple_lca != second.triple_lca:
-        return pidx.is_strict_ancestor(second.triple_lca, first.triple_lca)
-    if first.cherry_lca == second.cherry_lca:
-        return False
-    return pidx.is_strict_ancestor(second.cherry_lca, first.cherry_lca)
-
-
-def _below(t: PhyloTree, v: int, u: int) -> bool:
-    """True iff node v of ``t`` is at or below node u."""
-    return u <= v < u + t.sizes[u]
-
-
 def _resolves(t: PhyloTree, a: str, b: str, c: str) -> bool:
     """True iff ``t`` resolves ``a,b|c``: c is not below lca(a, b)."""
     node = t.label_node
-    return not _below(t, node[c], _lca2(t, node[a], node[b]))
-
-
-def _lca_map(comp: PhyloTree, t_i: PhyloTree) -> list:
-    """m[v] = the node of ``t_i`` that is the LCA of the taxa below ``comp``
-    node v, for every v; a leaf maps to its own leaf in ``t_i``."""
-    node = t_i.label_node
-    children = comp.children
-    m = [0] * comp.n_nodes
-    for v in range(comp.n_nodes - 1, -1, -1):
-        ks = children[v]
-        m[v] = _lca2(t_i, m[ks[0]], m[ks[1]]) if ks else node[comp.labels[v]]
-    return m
+    return not below(t, node[c], _lca2(t, node[a], node[b]))
 
 
 def find_incompatible(f: Forest, t_i: PhyloTree):
@@ -176,7 +119,7 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> Triple:
     children = comp.children
     sizes = comp.sizes
     t_sizes = t_i.sizes
-    m = _lca_map(comp, t_i)
+    m = lca_map(comp, t_i)
 
     def taxa(u: int) -> list:
         return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
@@ -204,7 +147,7 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> Triple:
                 break
             ps = spans[other]
             i = bisect_left(ps, m[cherry])
-            if i == len(ps) or not _below(t_i, ps[i], m[cherry]):
+            if i == len(ps) or not below(t_i, ps[i], m[cherry]):
                 continue
             level = novd
             outside = taxa(other)
@@ -244,7 +187,7 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
 
     def child_toward(u: int, target: int) -> int:
         for k in comp.children[u]:
-            if _below(comp, target, k):
+            if below(comp, target, k):
                 return k
         raise AssertionError("target not below node")
 
@@ -252,10 +195,10 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     edge_b = [k for k in comp.children[tr.cherry_lca] if k != edge_a][0]
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)
 
-    m = _lca_map(comp, t_i)
+    m = lca_map(comp, t_i)
     pa, pb = t_i.label_node[tr.a], t_i.label_node[tr.b]
     node = child_toward(tr.triple_lca, c_node)
-    while _below(t_i, pa, m[node]) or _below(t_i, pb, m[node]):
+    while below(t_i, pa, m[node]) or below(t_i, pb, m[node]):
         node = child_toward(node, c_node)
 
     return TripleCuts(

@@ -4,6 +4,10 @@ Resolves every triple through an O(n^2) table of pairwise LCA depths and
 probes every (a, b, c) at every anchor level. It is far too slow and too
 large for real inputs, and is kept only so the interval/LCA search in
 ``mafkit.triples`` can be differential-tested against it.
+
+Also here: ``triple_of`` and ``triple_less``, the paper's vocabulary for
+resolving three taxa and ordering triples by their anchors, which only the
+tests use.
 """
 
 from __future__ import annotations
@@ -11,7 +15,59 @@ from __future__ import annotations
 import functools
 
 from mafkit import Forest, PhyloTree, Triple, TripleCuts
-from mafkit.tree import restricted_canonical
+from mafkit.tree import below, lca, restricted_canonical
+from mafkit.triples import _resolves
+
+
+def _below_table(t: PhyloTree) -> list:
+    """Per node, the taxon names at or below it, in preorder."""
+    table = [None] * t.n_nodes
+    for u in range(t.n_nodes - 1, -1, -1):
+        ks = t.children[u]
+        if not ks:
+            table[u] = (t.labels[u],)
+        else:
+            table[u] = table[ks[0]] + table[ks[1]]
+    return table
+
+
+def triple_of(t: PhyloTree, taxa) -> Triple:
+    """Resolve three taxa in ``t``: returns the unique cherry-pair/outlier
+    split realized there, with its anchor nodes."""
+    taxa = sorted(set(taxa))
+    if len(taxa) != 3:
+        raise ValueError(f"need exactly 3 distinct taxa, got {taxa}")
+    missing = [x for x in taxa if x not in t.label_node]
+    if missing:
+        raise ValueError(f"unknown taxon {missing[0]!r}")
+    x, y, z = taxa
+    out = z if _resolves(t, x, y, z) else y if _resolves(t, x, z, y) else x
+    a, b = [v for v in taxa if v != out]
+    return _make_triple(t, a, b, out, host=0)
+
+
+def _make_triple(t: PhyloTree, a: str, b: str, c: str, host: int) -> Triple:
+    return Triple(
+        a=min(a, b),
+        b=max(a, b),
+        c=c,
+        host=host,
+        cherry_lca=lca(t, (a, b)),
+        triple_lca=lca(t, (a, b, c)),
+    )
+
+
+def triple_less(t: PhyloTree, first: Triple, second: Triple) -> bool:
+    """Partial order used to pick minimal incompatible triples: ``first``
+    precedes ``second`` when second's anchors sit strictly above first's.
+    Both triples must be anchored in the same component ``t``."""
+    if first.host != second.host:
+        return False
+    if first.triple_lca != second.triple_lca:
+        return below(t, first.triple_lca, second.triple_lca)
+    if first.cherry_lca == second.cherry_lca:
+        return False
+    return below(t, first.cherry_lca, second.cherry_lca)
 
 
 class _PairDepths:
@@ -26,7 +82,7 @@ class _PairDepths:
     def __init__(self, t: PhyloTree):
         d: dict = {}
         depths = t.depths
-        below = t._below_table()
+        below = _below_table(t)
         for u in range(t.n_nodes):
             ks = t.children[u]
             if not ks:
@@ -69,7 +125,7 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
 
 def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Triple:
     depths = comp.depths
-    below = comp._below_table()
+    below = _below_table(comp)
     children = comp.children
     sizes = comp.sizes
 
@@ -113,7 +169,7 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     if resolver.outlier(tr.a, tr.b, tr.c) == tr.c:
         raise ValueError(f"triple {tr} is not incompatible with this tree")
 
-    below = comp._below_table()
+    below = _below_table(comp)
     sizes = comp.sizes
     a_node = comp.label_node[tr.a]
     c_node = comp.label_node[tr.c]

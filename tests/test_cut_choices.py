@@ -1,0 +1,72 @@
+"""The overlap and cycle cut-edge rules against their first implementations.
+
+The cut-log goldens pin only a few dozen overlap and cycle entries, so the
+rules are also compared directly over a seeded grid. On every forest a
+``maf_approx`` + ``maaf_approx`` run passes through, and in every input
+tree, each overlapping pair of components is checked, and so is each
+ordered pair whose mapped roots are nested, in either direction.
+
+On an agreement forest the cycle rule always names the left root child (a
+partner nested below the component would share its embedding), so the
+forests before the maf result are what exercise its right-child branch.
+"""
+
+import itertools
+
+from mafkit import Forest, GenSpec, SeededRng, cut_edges, instance, lca, maaf_approx, maf_approx
+from mafkit.forest import steiner_nodes
+from mafkit.maaf import _cycle_cut_edge
+from mafkit.maf import _overlap_cut_edge
+from mafkit.tree import below
+
+import reference_cuts as ref
+
+
+def _forests(trees):
+    """Every forest a maf_approx + maaf_approx run passes through."""
+    forest, cuts = maf_approx(trees)
+    _, cycle_cuts = maaf_approx(forest, trees)
+    out = [Forest.from_tree(trees[0])]
+    for entry in cuts.entries + cycle_cuts.entries:
+        out.append(cut_edges(out[-1], entry.edges))
+    return out
+
+
+def _check_forest(f, t, seen):
+    comps = f.components
+    stein = [steiner_nodes(t, c.leaf_labels) for c in comps]
+    for x, y in itertools.combinations(range(f.size), 2):
+        shared = stein[x] & stein[y]
+        if not shared:
+            continue
+        meet = max(shared, key=lambda nd: (t.depths[nd], -nd))
+        for comp in (comps[x], comps[y]):
+            got = _overlap_cut_edge(comp, t, meet)
+            assert got == ref.overlap_cut_edge(comp, t, meet)
+            seen["overlap"] += 1
+    roots = [lca(t, c.leaf_labels) for c in comps]
+    for x, y in itertools.permutations(range(f.size), 2):
+        rx, ry = roots[x], roots[y]
+        if comps[x].n_leaves < 2 or rx == ry:
+            continue
+        if below(t, rx, ry) or below(t, ry, rx):
+            got = _cycle_cut_edge(comps[x], comps[y], t)
+            assert got == ref.cycle_cut_edge(comps[x], comps[y], t)
+            seen["cycle"] += 1
+            seen["second child"] += got == comps[x].children[0][1]
+
+
+def test_cut_edge_choices_match_reference():
+    """200 instances, n in [4, 60], k in [2, 5], moves in [1, 8]."""
+    seen = dict.fromkeys(("overlap", "cycle", "second child"), 0)
+    for idx in range(200):
+        rng = SeededRng(404, stream=idx)
+        spec = GenSpec(
+            n=4 + rng.below(57), k=2 + rng.below(4), moves=1 + rng.below(8), seed=idx
+        )
+        trees = instance(spec)
+        for f in _forests(trees):
+            for t in trees:
+                _check_forest(f, t, seen)
+    print(f"\ncut choices checked: {seen}")
+    assert min(seen.values()) > 0, seen

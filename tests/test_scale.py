@@ -28,9 +28,9 @@ def test_maf_n800_k4_under_30s():
     assert is_agreement_forest(forest, trees)
 
 
-def _random_tree(n, seed):
-    """A random tree built in O(n) by merging random pairs of subtrees
-    (``gen.random_tree`` rebuilds the tree per leaf, seconds at n=2000)."""
+def _random_tree(n, seed=1):
+    """A random tree built in O(n) by merging random pairs of subtrees; its
+    shape differs from ``gen.random_tree``'s sequential attachment."""
     rng = SeededRng(seed)
     pool = [f"t{i}" for i in range(1, n + 1)]
     while len(pool) > 1:
@@ -42,13 +42,29 @@ def _random_tree(n, seed):
     return PhyloTree.from_nested(pool[0])
 
 
-@pytest.mark.parametrize("n,moves", [(2000, 0), (500, 4)])
-def test_maf_memory_stays_linear(n, moves):
+def _caterpillar(n):
+    nested = "t1"
+    for i in range(2, n + 1):
+        nested = (nested, f"t{i}")
+    return PhyloTree.from_nested(nested)
+
+
+@pytest.mark.parametrize(
+    "shape,n,moves",
+    [
+        pytest.param(_random_tree, 2000, 0, id="2000-0"),
+        pytest.param(_random_tree, 500, 4, id="500-4"),
+        pytest.param(_caterpillar, 3000, 0, id="caterpillar-3000-0"),
+    ],
+)
+def test_maf_memory_stays_linear(shape, n, moves):
     """k=4. The old pairwise tables peaked at 390 MiB on the four identical
     n=2000 trees. On the n=500 case, keeping every conflicting triple of the
     winning level, as the old scan did, takes 20 MiB by itself. The LCA
-    search stays near 1 MiB."""
-    base = _random_tree(n, seed=1)
+    search stays near 1 MiB. On the caterpillar, keeping every node's
+    canonical form alive while checking agreement took 32 MiB, O(n * depth)
+    characters."""
+    base = shape(n)
     trees = [base]
     for i in range(3):
         t = base

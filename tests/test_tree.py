@@ -1,10 +1,10 @@
-"""Tree machinery: ancestry queries, restriction, element order."""
+"""Tree machinery: ancestry queries and restriction."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import Element, element_less, lca, parse, random_tree, restrict, serialize
-from mafkit.tree import compute_preorder_index
+from mafkit import lca, parse, random_tree, restrict, serialize
+from mafkit.tree import below
 
 
 @pytest.fixture
@@ -58,30 +58,9 @@ def test_restrict_idempotent(n, seed):
     assert once.leaf_labels == frozenset(keep)
 
 
-def test_element_order(cherry3):
-    edge_a = Element("edge", 2)
-    edge_b = Element("edge", 3)
-    root = Element("node", 0)
-    assert element_less(cherry3, edge_a, root)
-    assert not element_less(cherry3, root, edge_a)
-    assert not element_less(cherry3, edge_a, edge_b)  # incomparable siblings
-    # a node precedes its own parent edge
-    assert element_less(cherry3, Element("node", 2), edge_a)
-    assert not element_less(cherry3, edge_a, edge_a)
-
-
-def test_element_validation(cherry3):
-    with pytest.raises(ValueError):
-        element_less(cherry3, Element("edge", 0), Element("node", 1))  # root has no edge
-    with pytest.raises(ValueError):
-        element_less(cherry3, Element("node", 99), Element("node", 0))
-
-
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=10**6))
-def test_preorder_index_matches_parent_walk(n, seed):
+def test_below_matches_parent_walk(n, seed):
     t = random_tree(n, seed)
-    pidx = compute_preorder_index(t)
-    assert sorted(pidx.visit) == list(range(t.n_nodes))
 
     def walk_is_ancestor(u, v):
         while v != -1:
@@ -92,18 +71,4 @@ def test_preorder_index_matches_parent_walk(n, seed):
 
     for u in range(t.n_nodes):
         for v in range(t.n_nodes):
-            assert pidx.is_ancestor(u, v) == walk_is_ancestor(u, v)
-            assert pidx.is_strict_ancestor(u, v) == (u != v and walk_is_ancestor(u, v))
-
-
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
-def test_element_order_is_strict_partial(n, seed):
-    t = random_tree(n, seed)
-    elements = [Element("node", u) for u in range(t.n_nodes)]
-    elements += [Element("edge", u) for u in range(1, t.n_nodes)]
-    sample = elements[:: max(1, len(elements) // 12)]
-    for x in sample:
-        assert not element_less(t, x, x)
-        for y in sample:
-            if element_less(t, x, y):
-                assert not element_less(t, y, x)
+            assert below(t, v, u) == walk_is_ancestor(u, v)
