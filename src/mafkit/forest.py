@@ -41,14 +41,31 @@ class Forest:
             for v in range(1, comp.n_nodes)
         ]
 
-    def taxon_partition_ok(self) -> bool:
-        seen: set[str] = set()
-        for comp in self.components:
-            for lab in comp.leaf_labels:
-                if lab in seen:
-                    return False
-                seen.add(lab)
-        return seen == set(self.origin_labels)
+    def check_taxa(self, trees) -> None:
+        """Raise ValueError unless there are input trees, each carries
+        exactly the forest's taxon set, and the components partition it."""
+        if not trees:
+            raise ValueError("no input trees")
+        for t in trees:
+            if t.leaf_labels != self.origin_labels:
+                raise ValueError("label-set mismatch between forest and input trees")
+        labs = [comp.leaf_labels for comp in self.components]
+        union = frozenset().union(*labs)
+        if union != self.origin_labels or sum(map(len, labs)) != len(union):
+            raise ValueError("forest components do not partition the taxon set")
+
+
+def check_input_trees(trees) -> list:
+    """``trees`` as a list; raises ValueError for fewer than two trees or
+    mismatched taxon sets."""
+    trees = list(trees)
+    if len(trees) < 2:
+        raise ValueError("need at least two input trees")
+    labels = trees[0].leaf_labels
+    for t in trees[1:]:
+        if t.leaf_labels != labels:
+            raise ValueError("input trees must share one taxon set")
+    return trees
 
 
 def cut_edges(f: Forest, edges) -> Forest:
@@ -104,14 +121,7 @@ def is_agreement_forest(f: Forest, trees) -> bool:
     all carry exactly the forest's taxon set and the components must
     partition it; violations raise ValueError.
     """
-    if not trees:
-        raise ValueError("no input trees")
-    for t in trees:
-        if t.leaf_labels != f.origin_labels:
-            raise ValueError("label-set mismatch between forest and input trees")
-    if not f.taxon_partition_ok():
-        raise ValueError("forest components do not partition the taxon set")
-
+    f.check_taxa(trees)
     comp_labels = [comp.leaf_labels for comp in f.components]
     for t in trees:
         for comp, labs in zip(f.components, comp_labels):

@@ -18,6 +18,21 @@ rebuilt afterwards and any remaining cycle is broken with the same two-edge
 rule applied to an adjacent pair on it, after which the queue resumes. Each
 round removes at least two edges, so the whole process is bounded by the
 size of the first tree; a cut that removes none is an error.
+
+Either child edge of a root detaches the same two clades, so every cycle cut
+names the left child, node 1 under preorder ids. On an agreement forest that
+is also the edge of the rule "cut the side tangled in the cycle": the first
+child whose clade's lca, in a tree where the partner dominates the component,
+is at or below the partner's mapped root, else the first child.
+
+- In a tree where y dominates x, both of x's child clades have their lca at
+  or below x's mapped root, strictly below y's: the first child qualifies.
+  A 2-cycle gives each of its two components such a tree, the other as y.
+- The long-cycle fallback has a tree where x dominates y and, every settled
+  pair having been checked, none where y dominates x. There a child clade of
+  x with its lca at or below y's mapped root would put that root on x's
+  embedding, overlapping y, so no side qualifies and the rule falls back to
+  the first child. For y, that tree is the first case again.
 """
 
 from __future__ import annotations
@@ -27,7 +42,7 @@ from dataclasses import dataclass
 
 from .forest import Forest, is_agreement_forest
 from .maf import CutEntry, CutSet, _cut, maf_approx
-from .tree import PhyloTree, below, lca, lca_map
+from .tree import PhyloTree, below, lca
 
 
 @dataclass
@@ -73,22 +88,7 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
 
 
 def is_acyclic(g: ForestDigraph) -> bool:
-    indeg = [0] * g.n_vertices
-    for (_, j) in g.edges:
-        indeg[j] += 1
-    queue = deque(v for v in range(g.n_vertices) if indeg[v] == 0)
-    done = 0
-    succ: dict = {}
-    for (i, j) in g.edges:
-        succ.setdefault(i, []).append(j)
-    while queue:
-        v = queue.popleft()
-        done += 1
-        for j in succ.get(v, ()):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return done == g.n_vertices
+    return find_cycle(g) is None
 
 
 def find_cycle(g: ForestDigraph):
@@ -97,7 +97,6 @@ def find_cycle(g: ForestDigraph):
     for (i, j) in sorted(g.edges):
         succ.setdefault(i, []).append(j)
     color = [0] * g.n_vertices  # 0 unseen, 1 on stack, 2 done
-    parent: dict = {}
     for start in range(g.n_vertices):
         if color[start]:
             continue
@@ -105,59 +104,32 @@ def find_cycle(g: ForestDigraph):
         color[start] = 1
         while stack:
             v, it = stack[-1]
-            advanced = False
             for j in it:
                 if color[j] == 0:
                     color[j] = 1
-                    parent[j] = v
                     stack.append((j, iter(succ.get(j, ()))))
-                    advanced = True
                     break
                 if color[j] == 1:
-                    cycle = [v]
-                    while cycle[-1] != j:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
+                    path = [u for u, _ in stack]
+                    return path[path.index(j) :]
+            else:
                 color[v] = 2
                 stack.pop()
-        parent.clear()
     return None
 
 
 def _two_cycle_witness(roots_x, roots_y, trees):
-    """(tree where x dominates y, tree where y dominates x), or None."""
-    forward = backward = None
+    """First tree where x dominates y, or None unless y also dominates x in
+    some tree."""
+    forward, backward = None, False
     for ti, t in enumerate(trees):
         rx, ry = roots_x[ti], roots_y[ti]
-        if forward is None and rx != ry and below(t, ry, rx):
+        if rx == ry:
+            continue
+        if forward is None and below(t, ry, rx):
             forward = ti
-        if backward is None and rx != ry and below(t, rx, ry):
-            backward = ti
-    if forward is None or backward is None:
-        return None
-    return forward, backward
-
-
-def _cycle_cut_edge(comp: PhyloTree, partner: PhyloTree, witness: PhyloTree) -> int:
-    """Child edge of the component's root to delete.
-
-    Prefer the side whose own mapped root, in the tree where the partner
-    dominates this component, falls inside the partner's span — the side
-    actually tangled in the cycle; the left child when both sides do. The
-    resulting pieces are the two child clades either way, so the choice only
-    affects which edge the log names.
-    """
-    ks = comp.children[comp.root]
-    if not ks:
-        raise ValueError("cannot cut a single-leaf component")
-    partner_root = lca(witness, partner.leaf_labels)
-    m = lca_map(comp, witness)
-    for child in ks:
-        if below(witness, m[child], partner_root):
-            return child
-    return ks[0]
+        backward = backward or below(t, rx, ry)
+    return forward if backward else None
 
 
 def maaf_approx(f: Forest, trees) -> tuple:
@@ -179,23 +151,16 @@ def maaf_approx(f: Forest, trees) -> tuple:
     # keyed by component object (identity); trees are immutable values
     roots: dict = {c: mapped_roots(c, trees) for c in work}
 
-    def split_pair(x, y, t_xy: int, t_yx: int):
-        """Cut one root child edge in each of x and y; queue the pieces."""
-        xi = next(i for i, c in enumerate(work) if c is x)
-        yi = next(i for i, c in enumerate(work) if c is y)
-        ex = _cycle_cut_edge(x, y, trees[t_yx])
-        ey = _cycle_cut_edge(y, x, trees[t_xy])
-        edges = ((xi, ex), (yi, ey))
-        snapshot = _cut(Forest(tuple(work), f.origin_labels), edges)
-        lo, hi = (xi, yi) if xi < yi else (yi, xi)
-        # each root cut yields exactly two labeled pieces, in place
-        pieces_lo = snapshot.components[lo : lo + 2]
-        pieces_hi = snapshot.components[hi + 1 : hi + 3]
-        first, second = (pieces_lo, pieces_hi) if xi < yi else (pieces_hi, pieces_lo)
-        work[:] = list(snapshot.components)
-        for piece in (*first, *second):
-            roots[piece] = mapped_roots(piece, trees)
-            pending.append(piece)
+    def split_pair(x, y, t_xy: int):
+        """Cut the left root child edge of x and of y; queue the pieces."""
+        xi, yi = work.index(x), work.index(y)
+        edges = ((xi, 1), (yi, 1))
+        work[:] = _cut(Forest(tuple(work), f.origin_labels), edges).components
+        # each root cut leaves two pieces in place, so the later pair shifts by one
+        for at in (xi + (xi > yi), yi + (yi > xi)):
+            for piece in work[at : at + 2]:
+                roots[piece] = mapped_roots(piece, trees)
+                pending.append(piece)
         cuts.entries.append(
             CutEntry("cycle", t_xy, edges, f"cycle between components {xi} and {yi}")
         )
@@ -203,18 +168,14 @@ def maaf_approx(f: Forest, trees) -> tuple:
     while True:
         while pending:
             x = pending.popleft()
-            partner = None
             for y in settled:
-                w = _two_cycle_witness(roots[x], roots[y], trees)
-                if w is not None:
-                    partner = (y, w)
+                t_xy = _two_cycle_witness(roots[x], roots[y], trees)
+                if t_xy is not None:
+                    settled.remove(y)
+                    split_pair(x, y, t_xy)
                     break
-            if partner is None:
+            else:
                 settled.append(x)
-                continue
-            y, (t_xy, t_yx) = partner
-            settled.remove(y)
-            split_pair(x, y, t_xy, t_yx)
 
         result = Forest(tuple(work), f.origin_labels)
         g = build_gf(result, trees, validate=False)
@@ -225,13 +186,8 @@ def maaf_approx(f: Forest, trees) -> tuple:
         # adjacent pair on it with the same two-edge rule and resume
         i, j = cycle[0], cycle[1]
         x, y = work[i], work[j]
-        t_xy = g.edges[(i, j)][0]
-        # on a long cycle y need not dominate x anywhere; the cut rule only
-        # needs a reference tree, so reuse the forward witness then
-        w = _two_cycle_witness(roots[x], roots[y], trees)
-        t_yx = w[1] if w is not None else t_xy
         settled = [c for c in work if c is not x and c is not y]
-        split_pair(x, y, t_xy, t_yx)
+        split_pair(x, y, g.edges[(i, j)][0])
 
 
 def hybridization_upper_bound(trees) -> int:

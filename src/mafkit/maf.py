@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .forest import Forest, cut_edges, steiner_nodes
+from .forest import Forest, check_input_trees, cut_edges, steiner_nodes
 from .tree import PhyloTree, below, lca_map
 from .triples import find_incompatible, locate_cuts
 
@@ -75,13 +75,12 @@ class OverlapWitness:
 
     x: int
     y: int
-    tree: int
     meet_node: int
     edge_x: int
     edge_y: int
 
 
-def find_overlap(f: Forest, t_i: PhyloTree, tree_index: int = 0):
+def find_overlap(f: Forest, t_i: PhyloTree):
     """First pair of components (in index order) whose minimal connecting
     subtrees in ``t_i`` share a node, or None when all embeddings are
     pairwise disjoint. Single-leaf components embed as bare leaves and can
@@ -97,7 +96,6 @@ def find_overlap(f: Forest, t_i: PhyloTree, tree_index: int = 0):
             return OverlapWitness(
                 x=x,
                 y=y,
-                tree=tree_index,
                 meet_node=meet,
                 edge_x=_overlap_cut_edge(f.components[x], t_i, meet),
                 edge_y=_overlap_cut_edge(f.components[y], t_i, meet),
@@ -145,14 +143,7 @@ def maf_approx(trees) -> tuple:
     byte-equal outputs. Raises ValueError for fewer than two trees or
     mismatched taxon sets.
     """
-    trees = list(trees)
-    if len(trees) < 2:
-        raise ValueError("need at least two input trees")
-    labels = trees[0].leaf_labels
-    for t in trees[1:]:
-        if t.leaf_labels != labels:
-            raise ValueError("input trees must share one taxon set")
-
+    trees = check_input_trees(trees)
     forest = Forest.from_tree(trees[0])
     cuts = CutSet()
 
@@ -181,7 +172,7 @@ def maf_approx(trees) -> tuple:
         cut_made = False
         for i in range(1, len(trees)):
             while True:
-                ow = find_overlap(forest, trees[i], tree_index=i)
+                ow = find_overlap(forest, trees[i])
                 if ow is None:
                     break
                 edges = ((ow.x, ow.edge_x), (ow.y, ow.edge_y))

@@ -48,7 +48,6 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
 
     # frames: one list of completed child subtrees per open '('
     frames: list[list] = []
-    open_at: list[int] = []
     done = None  # completed subtree waiting for delimiter, else None
 
     i = skip_ws(i)
@@ -64,7 +63,6 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
             ch = text[i]
             if ch == "(":
                 frames.append([])
-                open_at.append(i)
                 i += 1
                 continue
             if ch in LABEL_CHARS:
@@ -102,7 +100,6 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
                     fail("non-binary node: expected exactly two children", i)
                 frames[-1].append(done)
                 left, right = frames.pop()
-                open_at.pop()
                 done = (left, right)
                 i += 1
                 j = skip_ws(i)

@@ -29,12 +29,13 @@ winner it rejects raises RuntimeError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .forest import Forest, cut_edges, is_agreement_forest
+from .forest import Forest, check_input_trees, cut_edges, is_agreement_forest
 from .maaf import build_gf, is_acyclic
-from .tree import restricted_canonical
+from .tree import fold, restricted_canonical
 
 HARD_TAXON_CAP = 16
 
@@ -56,24 +57,12 @@ class OracleResult:
 def _partition_test(start: Forest, trees):
     """A function telling whether cutting a subset of ``start.all_edges()``
     (in that order) leaves an agreement forest of ``trees``."""
-    for t in trees:
-        if t.leaf_labels != start.origin_labels:
-            raise ValueError("label-set mismatch between forest and input trees")
-    if not start.taxon_partition_ok():
-        raise ValueError("forest components do not partition the taxon set")
+    start.check_taxa(trees)
     leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
-    comp_of = {}  # leaf bit -> the start component holding that leaf
-    below = []  # per start component, per node: the leaves below it
-    for comp in start.components:
-        masks = [0] * comp.n_nodes
-        for u in range(comp.n_nodes - 1, -1, -1):
-            ks = comp.children[u]
-            if ks:
-                masks[u] = masks[ks[0]] | masks[ks[1]]
-            else:
-                masks[u] = leaf_bit[comp.labels[u]]
-                comp_of[masks[u]] = comp
-        below.append(masks)
+    # leaf bit -> the start component holding that leaf
+    comp_of = {leaf_bit[lab]: comp for comp in start.components for lab in comp.leaf_labels}
+    # per start component, per node: the leaves below it
+    below = [fold(comp, leaf_bit.__getitem__, operator.or_) for comp in start.components]
     wholes = [masks[0] for masks in below]
     leaf_paths = []  # per input tree, per leaf bit: the nodes up to the root
     for t in trees:
@@ -146,38 +135,27 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
     return None
 
 
-def _check_inputs(trees):
-    trees = list(trees)
-    if len(trees) < 2:
-        raise ValueError("need at least two input trees")
-    labels = trees[0].leaf_labels
-    for t in trees[1:]:
-        if t.leaf_labels != labels:
-            raise ValueError("input trees must share one taxon set")
-    return trees
-
-
 def exact_maf_forest(start: Forest, trees, max_cuts=None):
     """Minimum number of edges to delete from ``start`` so that what remains
     is an agreement forest of the trees; None if over ``max_cuts``."""
-    trees = _check_inputs(trees)
+    trees = check_input_trees(trees)
     return _search(start, trees, max_cuts, acyclic=False)
 
 
 def exact_maf(trees, max_cuts=None):
-    trees = _check_inputs(trees)
+    trees = check_input_trees(trees)
     return exact_maf_forest(Forest.from_tree(trees[0]), trees, max_cuts)
 
 
 def exact_maaf_forest(start: Forest, trees, max_cuts=None):
     """Like ``exact_maf_forest`` but the surviving forest's component
     digraph must also be acyclic (which can force strictly more cuts)."""
-    trees = _check_inputs(trees)
+    trees = check_input_trees(trees)
     return _search(start, trees, max_cuts, acyclic=True)
 
 
 def exact_maaf(trees, max_cuts=None):
-    trees = _check_inputs(trees)
+    trees = check_input_trees(trees)
     return exact_maaf_forest(Forest.from_tree(trees[0]), trees, max_cuts)
 
 

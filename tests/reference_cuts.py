@@ -2,8 +2,9 @@
 
 They test ancestry on preorder visit intervals derived by a walk, and read
 each edge's leaf set from a per-node table of taxa, O(n * depth) in all.
-They are kept only so the LCA-map versions in ``mafkit.maf`` and
-``mafkit.maaf`` can be differential-tested against them.
+The overlap rule is kept so the LCA-map version in ``mafkit.maf`` can be
+differential-tested against it; the cycle rule, so a test can show that it
+names the left root child, which ``mafkit.maaf`` cuts without asking.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from mafkit import Forest, build_gf, cut_edges, is_acyclic, is_agreement_forest
-from mafkit.oracle import HARD_TAXON_CAP, OracleResult, _check_inputs
+from mafkit.forest import check_input_trees as _check_inputs
+from mafkit.oracle import HARD_TAXON_CAP, OracleResult
 
 
 def _search(start: Forest, trees, max_cuts, predicate):

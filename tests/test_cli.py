@@ -1,12 +1,14 @@
 """CLI surface: reports, formats, exit codes, golden output."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mafkit
 from mafkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -179,11 +181,14 @@ def test_golden_gen_output(capsys):
 
 
 def test_module_entry_point():
-    # python -m mafkit must work without the console script installed
+    # python -m mafkit must work without the console script installed; the
+    # child finds the package where this test imported it from
+    env = {**os.environ, "PYTHONPATH": str(Path(mafkit.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-m", "mafkit", "gen", "--n", "4", "--k", "2", "--moves", "0", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("# gen n=4")

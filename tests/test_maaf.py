@@ -5,6 +5,7 @@ import pytest
 from mafkit import (
     Forest,
     GenSpec,
+    SeededRng,
     build_gf,
     exact_hybridization,
     find_cycle,
@@ -19,6 +20,7 @@ from mafkit import (
 )
 from mafkit.maaf import ForestDigraph
 
+import reference_maaf
 from helpers import forest_canon
 
 
@@ -70,6 +72,32 @@ def test_is_acyclic_basics():
     assert is_acyclic(ForestDigraph(1, {}))
     assert not is_acyclic(ForestDigraph(2, {(0, 1): (0,), (1, 0): (1,)}))
     assert is_acyclic(ForestDigraph(3, {(0, 1): (0,), (1, 2): (0,), (0, 2): (1,)}))
+
+
+def test_cycle_search_matches_kahn_reference():
+    """2000 seeded digraphs on 1-8 vertices without self-loops, each edge
+    present with probability 0-5/16."""
+    verdicts = {True: 0, False: 0}
+    for idx in range(2000):
+        rng = SeededRng(505, stream=idx)
+        n, density = 1 + rng.below(8), rng.below(6)
+        edges = {
+            (i, j): (0,)
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.below(16) < density
+        }
+        g = ForestDigraph(n, edges)
+        acyclic = is_acyclic(g)
+        assert acyclic == reference_maaf.is_acyclic(g), edges
+        cycle = find_cycle(g)
+        assert (cycle is None) == acyclic, edges
+        if cycle is not None:
+            assert cycle, edges
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (a, b) in edges, (cycle, edges)
+        verdicts[acyclic] += 1
+    assert min(verdicts.values()) > 200, verdicts
 
 
 def test_maaf_keeps_acyclic_forest_untouched():
