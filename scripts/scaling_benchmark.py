@@ -2,12 +2,70 @@
 """Wall-time scaling of the approximation with taxon count.
 
     python scripts/scaling_benchmark.py --sizes 100 200 400 800 --k 4
+    python scripts/scaling_benchmark.py --sizes 1000 --k 8 --moves 40 --json out.json
+
+Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
+reports the median seconds of each, then one more run under ``tracemalloc``
+for the peak traced memory of the pair. ``--json PATH`` also writes the
+machine, the Python version and every row to PATH.
 """
 
 import argparse
+import json
+import os
+import platform
+import statistics
 import time
+import tracemalloc
 
 from mafkit import GenSpec, instance, is_agreement_forest, maf_approx, maaf_approx
+
+
+def _machine() -> str:
+    """CPU model and count, from /proc/cpuinfo where there is one."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
+
+
+def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
+    trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
+    maf_s, maaf_s = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        forest, cuts = maf_approx(trees)
+        t1 = time.perf_counter()
+        acyclic, cycle_cuts = maaf_approx(forest, trees)
+        t2 = time.perf_counter()
+        maf_s.append(t1 - t0)
+        maaf_s.append(t2 - t1)
+    assert is_agreement_forest(acyclic, trees)
+    tracemalloc.start()
+    try:
+        maaf_approx(maf_approx(trees)[0], trees)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "n": n,
+        "k": k,
+        "moves": moves,
+        "seed": seed,
+        "repeats": repeats,
+        "maf_s": round(statistics.median(maf_s), 4),
+        "maaf_s": round(statistics.median(maaf_s), 4),
+        "peak_mib": round(peak / 2**20, 3),
+        "maf_components": forest.size,
+        "cut_edges": cuts.edges_removed() + cycle_cuts.edges_removed(),
+        "maaf_components": acyclic.size,
+    }
 
 
 def main():
@@ -17,26 +75,28 @@ def main():
     parser.add_argument("--moves", type=int, default=4)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", metavar="PATH", help="also write the rows as JSON")
     args = parser.parse_args()
 
-    print(f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'cuts':>6} {'forest':>7}")
+    rows = []
+    print(f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'peak_MiB':>9} {'cuts':>6} {'forest':>7}")
     for n in args.sizes:
-        trees = instance(GenSpec(n=n, k=args.k, moves=args.moves, seed=args.seed))
-        best_maf = best_maaf = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            forest, cuts = maf_approx(trees)
-            t1 = time.perf_counter()
-            acyclic, cycle_cuts = maaf_approx(forest, trees)
-            t2 = time.perf_counter()
-            best_maf = min(best_maf, t1 - t0)
-            best_maaf = min(best_maaf, t2 - t1)
-        assert is_agreement_forest(acyclic, trees)
-        total = cuts.edges_removed() + cycle_cuts.edges_removed()
+        row = _row(n, args.k, args.moves, args.seed, args.repeats)
+        rows.append(row)
         print(
-            f"{n:>6} {args.k:>3} {best_maf:>8.3f} {best_maaf:>8.3f} "
-            f"{total:>6} {acyclic.size:>7}"
+            f"{n:>6} {args.k:>3} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
+            f"{row['peak_mib']:>9.2f} {row['cut_edges']:>6} {row['maaf_components']:>7}"
         )
+    if args.json:
+        report = {
+            "machine": _machine(),
+            "python": platform.python_version(),
+            "timing": f"median of {args.repeats} runs; peak_mib from one more run under tracemalloc",
+            "rows": rows,
+        }
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -7,29 +7,13 @@ optima on small instances for verification.
 """
 
 from .forest import Forest, cut_edges, is_agreement_forest, steiner_nodes
-from .gen import GenSpec, SeededRng, instance, random_tree, spr_move
-from .maaf import (
-    ForestDigraph,
-    build_gf,
-    find_cycle,
-    hybridization_upper_bound,
-    is_acyclic,
-    maaf_approx,
-    mapped_roots,
-)
-from .maf import CutEntry, CutSet, OverlapWitness, find_overlap, maf_approx, rspr_upper_bound
+from .gen import GenSpec, SeededRng, instance
+from .maaf import build_gf, hybridization_upper_bound, is_acyclic, maaf_approx, mapped_roots
+from .maf import CutEntry, CutSet, find_overlap, maf_approx, rspr_upper_bound
 from .newick import NewickError, parse, read_trees, serialize, write_trees
-from .oracle import (
-    OracleResult,
-    exact_hybridization,
-    exact_maaf,
-    exact_maaf_forest,
-    exact_maf,
-    exact_maf_forest,
-    exact_rspr,
-)
-from .tree import PhyloTree, lca, restrict
-from .triples import Triple, TripleCuts, find_incompatible, locate_cuts
+from .oracle import exact_maaf, exact_maf, exact_rspr
+from .tree import PhyloTree, lca
+from .triples import Triple, find_incompatible, locate_cuts
 
 __version__ = "0.1.0"
 
@@ -37,24 +21,16 @@ __all__ = [
     "CutEntry",
     "CutSet",
     "Forest",
-    "ForestDigraph",
     "GenSpec",
     "NewickError",
-    "OracleResult",
-    "OverlapWitness",
     "PhyloTree",
     "SeededRng",
     "Triple",
-    "TripleCuts",
     "build_gf",
     "cut_edges",
-    "exact_hybridization",
     "exact_maaf",
-    "exact_maaf_forest",
     "exact_maf",
-    "exact_maf_forest",
     "exact_rspr",
-    "find_cycle",
     "find_incompatible",
     "find_overlap",
     "hybridization_upper_bound",
@@ -67,12 +43,9 @@ __all__ = [
     "maf_approx",
     "mapped_roots",
     "parse",
-    "random_tree",
     "read_trees",
-    "restrict",
     "rspr_upper_bound",
     "serialize",
-    "spr_move",
     "steiner_nodes",
     "write_trees",
 ]

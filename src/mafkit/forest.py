@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import PhyloTree, cut_pieces, lca, restricted_canonical
+from .tree import PhyloTree, cut_pieces, lca, partition_forms
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,24 @@ def is_agreement_forest(f: Forest, trees) -> bool:
     are pairwise node-disjoint within every input tree. The input trees must
     all carry exactly the forest's taxon set and the components must
     partition it; violations raise ValueError.
+
+    One ``partition_forms`` sweep per tree decides both conditions for all
+    components at once. Call a component open at a node when some but not
+    all of its taxa lie below it; its embedding then holds the node's parent.
+    So a node whose two children carry different open components lies on
+    both embeddings, and the sweep stops there. Conversely, two embeddings
+    that share a node leave both components open at one node (the shared
+    node when it is below both lcas, else a child of it). A node with two
+    open components has them open at different children, where the sweep
+    stops, or both at one child, and so on down. Otherwise every node
+    carries at most its one open component, each component's taxa meet only
+    each other on the way up to their lca, and the form built there is the
+    component's restriction into the tree, which must equal
+    ``comp.canonical()``.
     """
     f.check_taxa(trees)
-    comp_labels = [comp.leaf_labels for comp in f.components]
-    for t in trees:
-        for comp, labs in zip(f.components, comp_labels):
-            if restricted_canonical(t, labs) != comp.canonical():
-                return False
-    for t in trees:
-        owner: dict[int, int] = {}
-        for ci, labs in enumerate(comp_labels):
-            for node in steiner_nodes(t, labs):
-                if node in owner:
-                    return False
-                owner[node] = ci
-    return True
+    comps = f.components
+    block_of = {lab: ci for ci, comp in enumerate(comps) for lab in comp.label_node}
+    sizes = [comp.n_leaves for comp in comps]
+    forms = [comp.canonical() for comp in comps]
+    return all(partition_forms(t, block_of, sizes) == forms for t in trees)

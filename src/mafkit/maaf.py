@@ -33,12 +33,24 @@ is at or below the partner's mapped root, else the first child.
   x with its lca at or below y's mapped root would put that root on x's
   embedding, overlapping y, so no side qualifies and the rule falls back to
   the first child. For y, that tree is the first case again.
+
+Neither loop scans all pairs of components. A queued root x is tested only
+against the settled components whose mapped root is a strict ancestor of
+x's in some tree, found by walking up from x's mapped root in each tree
+through an index of settled components by mapped root (mapped roots of an
+agreement forest are distinct). A 2-cycle needs y to dominate x in some
+tree, so every other settled y gives no witness; trying the candidates in
+settling order therefore hits the same y first as trying every settled
+component in order did. ``build_gf`` finds the nested pairs of one tree by
+sorting the mapped roots by preorder id and keeping a stack of those whose
+subtree holds the current one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .forest import Forest, is_agreement_forest
 from .maf import CutEntry, CutSet, _cut, maf_approx
@@ -67,10 +79,11 @@ def mapped_roots(comp: PhyloTree, trees) -> list:
 def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     """The ancestry digraph of ``f`` over the input trees.
 
-    Ancestor tests run on preorder id ranges. With ``validate`` (the
-    default), raises ValueError when ``f`` is not an agreement forest of the
-    trees — mapped roots of distinct components are only guaranteed distinct
-    in that case.
+    Each tree takes one pass over the mapped roots in preorder, O(m log m)
+    plus one step per edge; ancestor tests run on preorder id ranges. With
+    ``validate`` (the default), raises ValueError when ``f`` is not an
+    agreement forest of the trees — mapped roots of distinct components are
+    only guaranteed distinct in that case.
     """
     if validate and not is_agreement_forest(f, trees):
         raise ValueError("not an agreement forest of the given trees")
@@ -78,12 +91,16 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     m = f.size
     edges: dict = {}
     for ti, t in enumerate(trees):
-        for i in range(m):
-            ri = roots[i][ti]
-            for j in range(m):
-                rj = roots[j][ti]
-                if ri != rj and below(t, rj, ri):
+        # in preorder every ancestor comes first; the stack holds the
+        # components whose mapped root is at or above the current one
+        stack: list = []
+        for r, j in sorted((roots[j][ti], j) for j in range(m)):
+            while stack and not below(t, r, stack[-1][0]):
+                stack.pop()
+            for ri, i in stack:
+                if ri != r:
                     edges.setdefault((i, j), []).append(ti)
+            stack.append((r, j))
     return ForestDigraph(m, {k: tuple(v) for k, v in sorted(edges.items())})
 
 
@@ -147,9 +164,36 @@ def maaf_approx(f: Forest, trees) -> tuple:
     work = list(f.components)
     cuts = CutSet()
     pending = deque(work)
-    settled: list = []
     # keyed by component object (identity); trees are immutable values
     roots: dict = {c: mapped_roots(c, trees) for c in work}
+    # settled components: their rank in settling order, and per input tree
+    # the one settled at each mapped root
+    rank: dict = {}
+    by_root: list = [{} for _ in trees]
+    ticket = count()
+
+    def settle(c):
+        rank[c] = next(ticket)
+        for ti, r in enumerate(roots[c]):
+            by_root[ti][r] = c
+
+    def unsettle(c):
+        del rank[c]
+        for ti, r in enumerate(roots[c]):
+            del by_root[ti][r]
+
+    def dominating(x):
+        """Settled components whose mapped root is a strict ancestor of
+        x's in some tree, in settling order."""
+        found = set()
+        for ti, t in enumerate(trees):
+            settled_at, par = by_root[ti], t.parent
+            u = par[roots[x][ti]]
+            while u >= 0:
+                if u in settled_at:
+                    found.add(settled_at[u])
+                u = par[u]
+        return sorted(found, key=rank.__getitem__)
 
     def split_pair(x, y, t_xy: int):
         """Cut the left root child edge of x and of y; queue the pieces."""
@@ -168,15 +212,20 @@ def maaf_approx(f: Forest, trees) -> tuple:
     while True:
         while pending:
             x = pending.popleft()
-            for y in settled:
+            for y in dominating(x):
                 t_xy = _two_cycle_witness(roots[x], roots[y], trees)
                 if t_xy is not None:
-                    settled.remove(y)
+                    unsettle(y)
                     split_pair(x, y, t_xy)
                     break
             else:
-                settled.append(x)
+                settle(x)
 
+        # every component is settled now; the index is rebuilt below if a
+        # long cycle needs the loop again
+        rank.clear()
+        for settled_at in by_root:
+            settled_at.clear()
         result = Forest(tuple(work), f.origin_labels)
         g = build_gf(result, trees, validate=False)
         cycle = find_cycle(g)
@@ -186,7 +235,9 @@ def maaf_approx(f: Forest, trees) -> tuple:
         # adjacent pair on it with the same two-edge rule and resume
         i, j = cycle[0], cycle[1]
         x, y = work[i], work[j]
-        settled = [c for c in work if c is not x and c is not y]
+        for c in work:
+            if c is not x and c is not y:
+                settle(c)
         split_pair(x, y, g.edges[(i, j)][0])
 
 

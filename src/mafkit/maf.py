@@ -84,23 +84,37 @@ def find_overlap(f: Forest, t_i: PhyloTree):
     """First pair of components (in index order) whose minimal connecting
     subtrees in ``t_i`` share a node, or None when all embeddings are
     pairwise disjoint. Single-leaf components embed as bare leaves and can
-    never overlap anything."""
-    stein = [steiner_nodes(t_i, comp.leaf_labels) for comp in f.components]
+    never overlap anything.
+
+    The embeddings are scanned in index order with the first owner of every
+    node. The least pair (x, y) shows up as (owner, y) at a node the two
+    share: an owner below x there would make a smaller pair with y. So the
+    least (owner, y) over all shared nodes is the answer; the scan cannot
+    stop at the first hit, since a later y can still pair with a smaller x.
+    """
+    comps = f.components
+    owner: dict = {}
+    best = None
+    for y, comp in enumerate(comps):
+        for node in steiner_nodes(t_i, comp.leaf_labels):
+            x = owner.setdefault(node, y)
+            if x != y and (best is None or (x, y) < best):
+                best = (x, y)
+    if best is None:
+        return None
+    x, y = best
+    shared = steiner_nodes(t_i, comps[x].leaf_labels) & steiner_nodes(
+        t_i, comps[y].leaf_labels
+    )
     depths = t_i.depths
-    for x in range(f.size):
-        for y in range(x + 1, f.size):
-            shared = stein[x] & stein[y]
-            if not shared:
-                continue
-            meet = max(shared, key=lambda nd: (depths[nd], -nd))
-            return OverlapWitness(
-                x=x,
-                y=y,
-                meet_node=meet,
-                edge_x=_overlap_cut_edge(f.components[x], t_i, meet),
-                edge_y=_overlap_cut_edge(f.components[y], t_i, meet),
-            )
-    return None
+    meet = max(shared, key=lambda nd: (depths[nd], -nd))
+    return OverlapWitness(
+        x=x,
+        y=y,
+        meet_node=meet,
+        edge_x=_overlap_cut_edge(comps[x], t_i, meet),
+        edge_y=_overlap_cut_edge(comps[y], t_i, meet),
+    )
 
 
 def _overlap_cut_edge(comp: PhyloTree, t_i: PhyloTree, meet: int) -> int:
@@ -147,12 +161,15 @@ def maf_approx(trees) -> tuple:
     forest = Forest.from_tree(trees[0])
     cuts = CutSet()
 
-    # Phase 1: triples. A clean full pass terminates the sweep.
+    # Phase 1: triples. A clean full pass terminates the sweep. Triple cuts
+    # only split the host, so every other component keeps its verdict in
+    # every tree; the host's go with it.
+    memos = [{} for _ in trees]
     while True:
         cut_made = False
         for i in range(1, len(trees)):
             while True:
-                tr = find_incompatible(forest, trees[i])
+                tr = find_incompatible(forest, trees[i], memos[i])
                 if tr is None:
                     break
                 tc = locate_cuts(forest, tr, trees[i])
@@ -161,6 +178,8 @@ def maf_approx(trees) -> tuple:
                     (tr.host, tc.edge_c),
                     (tr.host, tc.edge_cherry),
                 )
+                for memo in memos:
+                    memo.pop(forest.components[tr.host], None)
                 forest = _cut(forest, edges)
                 cuts.entries.append(CutEntry("triple", i, edges, str(tr)))
                 cut_made = True

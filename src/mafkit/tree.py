@@ -15,9 +15,11 @@ ancestry test: v is at or below u iff ``u <= v < u + size(u)``. ``fold``
 is the one bottom-up sweep: it computes a value per node from leaf values
 and a join, treating cut edges and empty subtrees as absent and passing a
 lone present child straight up (degree-2 suppression); restriction, cutting
-and the LCA map go through it. Two sweeps stay plain loops because they are
-hot and a callback per node measurably slows them: ``restricted_canonical``
-(the agreement check, most of the exact search's time) and
+and the LCA map go through it. Three sweeps stay plain loops because they
+are hot and a callback per node measurably slows them:
+``restricted_canonical`` (the triple phase's cleanliness test and most of
+the exact search's time), ``partition_forms`` (canonical forms, and the
+agreement check for all components of a forest at once) and
 ``gen._grafted_nested`` (the SPR regraft behind every generated instance).
 """
 
@@ -163,7 +165,9 @@ class PhyloTree:
         """Order-independent canonical form; equal iff the trees are
         isomorphic as rooted leaf-labeled trees."""
         if self._canonical is None:
-            self._canonical = restricted_canonical(self, self.leaf_labels)
+            self._canonical = partition_forms(
+                self, dict.fromkeys(self.label_node, 0), (self.n_leaves,)
+            )[0]
         return self._canonical
 
     def __repr__(self):
@@ -288,6 +292,56 @@ def restricted_canonical(t: PhyloTree, taxa) -> str:
                 a, b = b, a
             red[u] = "(%s,%s)" % (a, b)
     return red[t.root]
+
+
+def partition_forms(t: PhyloTree, block_of: dict, sizes) -> list | None:
+    """Restricted canonical form of every block of a partition of ``t``'s
+    taxa, in one bottom-up sweep; None when two blocks' embeddings share a
+    node.
+
+    ``block_of`` maps each taxon to its block index and ``sizes[b]`` is the
+    number of taxa in block b. A node carries the one block that is *open*
+    there (some but not all of its taxa below), with that block's count and
+    form so far; the block *closes* at its lca, where its count reaches its
+    size. Two children carrying different open blocks put their parent on
+    both embeddings. Forms are built as in ``restricted_canonical`` and a
+    node's children are released once its own carry is set.
+    """
+    children = t.children
+    labels = t.labels
+    forms = [None] * len(sizes)
+    carry = [None] * t.n_nodes  # (block, taxa below, form) of the open block
+    for u in range(t.n_nodes - 1, -1, -1):
+        ks = children[u]
+        if not ks:
+            lab = labels[u]
+            b = block_of[lab]
+            if sizes[b] == 1:
+                forms[b] = lab
+            else:
+                carry[u] = (b, 1, lab)
+            continue
+        left, right = ks
+        x = carry[left]
+        y = carry[right]
+        carry[left] = carry[right] = None
+        if x is None:
+            carry[u] = y
+        elif y is None:
+            carry[u] = x
+        elif x[0] != y[0]:
+            return None
+        else:
+            fx, fy = x[2], y[2]
+            if fy < fx:
+                fx, fy = fy, fx
+            form = "(%s,%s)" % (fx, fy)
+            count = x[1] + y[1]
+            if count == sizes[x[0]]:
+                forms[x[0]] = form
+            else:
+                carry[u] = (x[0], count, form)
+    return forms
 
 
 def cut_pieces(t: PhyloTree, cut_children) -> list:

@@ -24,7 +24,7 @@ anchor without enumerating triples; the only state is m, linear in n.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .forest import Forest
 from .tree import PhyloTree, _lca2, below, lca_map, restricted_canonical
@@ -79,7 +79,7 @@ def _resolves(t: PhyloTree, a: str, b: str, c: str) -> bool:
     return not below(t, node[c], _lca2(t, node[a], node[b]))
 
 
-def find_incompatible(f: Forest, t_i: PhyloTree):
+def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
     """A minimal incompatible triple of ``f`` with respect to ``t_i``, or
     None when every component is realized identically in ``t_i``.
 
@@ -89,16 +89,25 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
     guarantees minimality; remaining ties break lexicographically on taxon
     names so runs are reproducible. Nothing is tabulated per tree: memory
     stays linear in the size of the largest component.
+
+    ``memo``, when given, maps components (by identity) to what an earlier
+    call found for them in ``t_i``: None when clean, else their minimal
+    triple. Components and trees are immutable, so a verdict holds as long
+    as its component is in the forest; this call reads and extends it.
     """
+    if memo is None:
+        memo = {}
     best = None
     for ci, comp in enumerate(f.components):
         if comp.n_leaves < 3:
             continue
-        if restricted_canonical(t_i, comp.leaf_labels) == comp.canonical():
-            continue
-        cand = _deepest_conflict(comp, ci, t_i)
-        if best is None or cand.taxa_key() < best.taxa_key():
-            best = cand
+        if comp not in memo:
+            memo[comp] = None
+            if restricted_canonical(t_i, comp.leaf_labels) != comp.canonical():
+                memo[comp] = _deepest_conflict(comp, ci, t_i)
+        cand = memo[comp]
+        if cand is not None and (best is None or cand.taxa_key() < best.taxa_key()):
+            best = replace(cand, host=ci)
     return best
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import functools
 
-from mafkit import Forest, PhyloTree, Triple, TripleCuts
+from mafkit import Forest, PhyloTree, Triple
 from mafkit.tree import below, lca, restricted_canonical
-from mafkit.triples import _resolves
+from mafkit.triples import TripleCuts, _resolves
 
 
 def _below_table(t: PhyloTree) -> list:

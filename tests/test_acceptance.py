@@ -26,9 +26,9 @@ from mafkit import (
     is_agreement_forest,
     maaf_approx,
     maf_approx,
-    random_tree,
 )
 from mafkit.cli import main
+from mafkit.gen import random_tree
 from mafkit.tree import _lca2
 
 from helpers import all_topologies, forest_canon, forest_newicks

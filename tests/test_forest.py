@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import Forest, SeededRng, cut_edges, is_agreement_forest, parse, random_tree
+from mafkit import Forest, SeededRng, cut_edges, is_agreement_forest, parse
+from mafkit.gen import random_tree
 from mafkit.forest import steiner_nodes
 
 from helpers import forest_newicks

@@ -8,11 +8,10 @@ from mafkit import (
     exact_rspr,
     instance,
     parse,
-    random_tree,
     serialize,
-    spr_move,
     write_trees,
 )
+from mafkit.gen import random_tree, spr_move
 
 import reference_gen
 

@@ -7,8 +7,6 @@ from mafkit import (
     GenSpec,
     SeededRng,
     build_gf,
-    exact_hybridization,
-    find_cycle,
     hybridization_upper_bound,
     instance,
     is_acyclic,
@@ -18,7 +16,8 @@ from mafkit import (
     parse,
     rspr_upper_bound,
 )
-from mafkit.maaf import ForestDigraph
+from mafkit.maaf import ForestDigraph, find_cycle
+from mafkit.oracle import exact_hybridization
 
 import reference_maaf
 from helpers import forest_canon

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import NewickError, parse, random_tree, read_trees, serialize
+from mafkit import NewickError, parse, read_trees, serialize
+from mafkit.gen import random_tree
 
 
 def test_three_leaf_shape():

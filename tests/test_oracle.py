@@ -9,16 +9,15 @@ from mafkit import (
     SeededRng,
     cut_edges,
     exact_maaf,
-    exact_maaf_forest,
     exact_maf,
-    exact_maf_forest,
     exact_rspr,
     instance,
     is_agreement_forest,
     maf_approx,
     parse,
-    random_tree,
 )
+from mafkit.gen import random_tree
+from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 
 import reference_oracle
 

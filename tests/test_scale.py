@@ -1,9 +1,13 @@
 """Scale guards: the triple search must stay far from its old cubic time and
-quadratic memory. The bounds are generous, so a pass is not luck and a
-failure means a return to a per-triple scan or a pairwise table."""
+quadratic memory, and the checks over a forest's components must not redo
+a per-component restriction. The bounds are generous, so a pass is not luck
+and a failure means a return to a per-triple scan, a pairwise table or a
+rescan of every component."""
 
+import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -14,8 +18,9 @@ from mafkit import (
     instance,
     is_agreement_forest,
     maf_approx,
-    spr_move,
 )
+from mafkit import tree
+from mafkit.gen import spr_move
 
 
 def test_maf_n800_k4_under_30s():
@@ -79,3 +84,29 @@ def test_maf_memory_stays_linear(shape, n, moves):
         tracemalloc.stop()
     assert bool(cuts.entries) == bool(moves)
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_component_checks_restrict_each_component_once(monkeypatch):
+    """Counts, not times: on many components (m = 234 here, k = 8) the
+    agreement check makes no ``restricted_canonical`` call at all, and the
+    triple phase restricts each component into each tree at most once. A
+    leaf set names one component, since components only ever split."""
+    trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
+    calls = Counter()
+    real = tree.restricted_canonical
+
+    def counting(t, taxa):
+        calls[id(t), frozenset(taxa)] += 1
+        return real(t, taxa)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mafkit" and hasattr(module, "restricted_canonical"):
+            monkeypatch.setattr(module, "restricted_canonical", counting)
+    forest, _ = maf_approx(trees)
+    assert forest.size > 200
+    inputs = {id(t) for t in trees}
+    on_inputs = [n for (t, _), n in calls.items() if t in inputs]
+    assert on_inputs and max(on_inputs) == 1, Counter(on_inputs)
+    calls.clear()
+    assert is_agreement_forest(forest, trees)
+    assert not calls, f"{sum(calls.values())} restricted_canonical calls"

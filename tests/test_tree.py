@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import lca, parse, random_tree, restrict, serialize
-from mafkit.tree import below
+from mafkit import lca, parse, serialize
+from mafkit.gen import random_tree
+from mafkit.tree import below, restrict
 
 
 @pytest.fixture
