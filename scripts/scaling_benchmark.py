@@ -6,8 +6,10 @@
 
 Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
 reports the median seconds of each, then one more run under ``tracemalloc``
-for the peak traced memory of the pair. ``--json PATH`` also writes the
-machine, the Python version and every row to PATH.
+for the peak traced memory of the pair. ``parse_s`` is the median over the
+same repeats of ``read_trees`` on the instance's ``write_trees`` text.
+``--json PATH`` also writes the machine, the Python version and every row to
+PATH.
 """
 
 import argparse
@@ -18,7 +20,15 @@ import statistics
 import time
 import tracemalloc
 
-from mafkit import GenSpec, instance, is_agreement_forest, maf_approx, maaf_approx
+from mafkit import (
+    GenSpec,
+    instance,
+    is_agreement_forest,
+    maf_approx,
+    maaf_approx,
+    read_trees,
+    write_trees,
+)
 
 
 def _machine() -> str:
@@ -37,8 +47,12 @@ def _machine() -> str:
 
 def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
     trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
-    maf_s, maaf_s = [], []
+    text = write_trees(trees)
+    maf_s, maaf_s, parse_s = [], [], []
     for _ in range(repeats):
+        t0 = time.perf_counter()
+        parsed = read_trees(text)
+        parse_s.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         forest, cuts = maf_approx(trees)
         t1 = time.perf_counter()
@@ -47,6 +61,7 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
         maf_s.append(t1 - t0)
         maaf_s.append(t2 - t1)
     assert is_agreement_forest(acyclic, trees)
+    assert write_trees(parsed) == text
     tracemalloc.start()
     try:
         maaf_approx(maf_approx(trees)[0], trees)
@@ -61,6 +76,7 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
         "repeats": repeats,
         "maf_s": round(statistics.median(maf_s), 4),
         "maaf_s": round(statistics.median(maaf_s), 4),
+        "parse_s": round(statistics.median(parse_s), 6),
         "peak_mib": round(peak / 2**20, 3),
         "maf_components": forest.size,
         "cut_edges": cuts.edges_removed() + cycle_cuts.edges_removed(),
@@ -79,13 +95,17 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'peak_MiB':>9} {'cuts':>6} {'forest':>7}")
+    print(
+        f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'parse_s':>8} "
+        f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7}"
+    )
     for n in args.sizes:
         row = _row(n, args.k, args.moves, args.seed, args.repeats)
         rows.append(row)
         print(
             f"{n:>6} {args.k:>3} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
-            f"{row['peak_mib']:>9.2f} {row['cut_edges']:>6} {row['maaf_components']:>7}"
+            f"{row['parse_s']:>8.4f} {row['peak_mib']:>9.2f} "
+            f"{row['cut_edges']:>6} {row['maaf_components']:>7}"
         )
     if args.json:
         report = {

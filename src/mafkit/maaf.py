@@ -73,7 +73,7 @@ def mapped_roots(comp: PhyloTree, trees) -> list:
     """For each input tree, the node its Steiner embedding of ``comp`` hangs
     from: the ancestor of the component's taxa. A singleton maps to its leaf
     and therefore never dominates anything."""
-    return [lca(t, comp.leaf_labels) for t in trees]
+    return [lca(t, comp.label_node) for t in trees]
 
 
 def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:

@@ -96,15 +96,15 @@ def find_overlap(f: Forest, t_i: PhyloTree):
     owner: dict = {}
     best = None
     for y, comp in enumerate(comps):
-        for node in steiner_nodes(t_i, comp.leaf_labels):
+        for node in steiner_nodes(t_i, comp.label_node):
             x = owner.setdefault(node, y)
             if x != y and (best is None or (x, y) < best):
                 best = (x, y)
     if best is None:
         return None
     x, y = best
-    shared = steiner_nodes(t_i, comps[x].leaf_labels) & steiner_nodes(
-        t_i, comps[y].leaf_labels
+    shared = steiner_nodes(t_i, comps[x].label_node) & steiner_nodes(
+        t_i, comps[y].label_node
     )
     depths = t_i.depths
     meet = max(shared, key=lambda nd: (depths[nd], -nd))
@@ -139,10 +139,14 @@ def _overlap_cut_edge(comp: PhyloTree, t_i: PhyloTree, meet: int) -> int:
 
 def _cut(f: Forest, edges) -> Forest:
     """``cut_edges``, raising RuntimeError unless the forest loses an edge, so
-    a faulty cut rule fails loudly instead of looping forever."""
+    a faulty cut rule fails loudly instead of looping forever.
+
+    Components are binary and together keep all L taxa, so a forest of m
+    components has 2(L - m) edges: only the touched components and their
+    pieces change m, and the forest loses edges exactly when it gains
+    components. That is an O(1) test, and m <= L bounds the cuts."""
     out = cut_edges(f, edges)
-    before, after = (sum(c.n_nodes - 1 for c in g.components) for g in (f, out))
-    if after >= before:
+    if out.size <= f.size:
         raise RuntimeError(f"cut {edges} did not lower the forest's edge count")
     return out
 

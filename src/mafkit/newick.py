@@ -11,11 +11,24 @@ multifurcations, and duplicate taxa are rejected rather than ignored: the
 algorithms here are purely topological and silently dropping annotations
 would mask caller errors. Multi-tree files hold one tree per line; lines
 starting with '#' are comments.
+
+``parse`` makes one pass over the tokens of its text: whole labels and
+single non-whitespace characters. Node ids are assigned in order of
+appearance, which is preorder with children left to right, so the tokens
+fill the ``PhyloTree`` arrays directly. The pass enforces the invariants of
+``PhyloTree.validate()`` itself (two children per internal node at ',' and
+')', the label alphabet through the token pattern, distinct taxa), so no
+validation sweep follows.
 """
 
 from __future__ import annotations
 
+import re
+
 from .tree import LABEL_CHARS, PhyloTree
+
+# a whole label, or any other single non-whitespace character
+_TOKEN = re.compile(r"[A-Za-z0-9_.-]+|\S")
 
 
 class NewickError(ValueError):
@@ -34,111 +47,97 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
     The expression must be terminated by ';' and may be followed only by
     whitespace. Raises NewickError with a byte offset on any violation.
     """
-    n = len(text)
-    i = 0
+    tokens = _TOKEN.findall(text)
+    parent: list[int] = []
+    children: list[tuple] = []
+    labels: list[str | None] = []
     seen: set[str] = set()
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def fail(msg: str, at: int):
-        raise NewickError(msg, at, _line)
-
-    # frames: one list of completed child subtrees per open '('
-    frames: list[list] = []
-    done = None  # completed subtree waiting for delimiter, else None
-
-    i = skip_ws(i)
-    if i >= n:
-        fail("empty input", i)
-
-    while True:
-        i = skip_ws(i)
-        if done is None:
-            # expect a subtree
-            if i >= n:
-                fail("unexpected end of input, expected a subtree", i)
-            ch = text[i]
-            if ch == "(":
-                frames.append([])
-                i += 1
-                continue
-            if ch in LABEL_CHARS:
-                j = i
-                while j < n and text[j] in LABEL_CHARS:
-                    j += 1
-                name = text[i:j]
-                if name in seen:
-                    fail(f"duplicate taxon {name!r}", i)
-                seen.add(name)
-                if j < n and text[j] == ":":
-                    fail("branch lengths are not supported", j)
-                done = name
-                i = j
-                continue
-            fail(f"expected a subtree, got {ch!r}", i)
+    stack = [-1]  # open internal nodes above a -1 sentinel, innermost last
+    want = True  # expecting a subtree, else ',', ')' or ';'
+    done = -1  # root of the last complete subtree
+    for j, tok in enumerate(tokens):
+        if want:
+            u = len(parent)
+            parent.append(stack[-1])
+            children.append(())
+            if tok == "(":
+                labels.append(None)
+                stack.append(u)
+            elif tok[0] in LABEL_CHARS:
+                if tok in seen:
+                    _fail(text, _line, f"duplicate taxon {tok!r}", j)
+                seen.add(tok)
+                labels.append(tok)
+                done = u
+                want = False
+            else:
+                _fail(text, _line, f"expected a subtree, got {tok!r}", j)
+        elif tok == ",":
+            u = stack[-1]
+            if u < 0:
+                _fail(text, _line, "',' outside parentheses", j)
+            if children[u]:
+                _fail(text, _line, "non-binary node: more than two children", j)
+            # until ')', the bare left child id (>= 1): no tuple, no new int
+            children[u] = done
+            want = True
+        elif tok == ")":
+            u = stack.pop()
+            if u < 0:
+                _fail(text, _line, "unmatched ')'", j)
+            if not children[u]:
+                _fail(text, _line, "non-binary node: expected exactly two children", j)
+            children[u] = (children[u], done)
+            done = u
+        elif tok == ";":
+            if len(stack) > 1:
+                _fail(text, _line, "unexpected ';' inside parentheses", j)
+            if j + 1 < len(tokens):
+                _fail(text, _line, "trailing content after ';'", j + 1)
+            return PhyloTree(parent, children, labels)
         else:
-            # a subtree is complete; expect ',', ')', or ';'
-            if i >= n:
-                fail("unexpected end of input, expected ',', ')' or ';'", i)
-            ch = text[i]
-            if ch == ",":
-                if not frames:
-                    fail("',' outside parentheses", i)
-                if len(frames[-1]) >= 1:
-                    fail("non-binary node: more than two children", i)
-                frames[-1].append(done)
-                done = None
-                i += 1
-                continue
-            if ch == ")":
-                if not frames:
-                    fail("unmatched ')'", i)
-                if len(frames[-1]) != 1:
-                    fail("non-binary node: expected exactly two children", i)
-                frames[-1].append(done)
-                left, right = frames.pop()
-                done = (left, right)
-                i += 1
-                j = skip_ws(i)
-                if j < n and text[j] in LABEL_CHARS:
-                    fail("internal node labels are not supported", j)
-                if j < n and text[j] == ":":
-                    fail("branch lengths are not supported", j)
-                continue
-            if ch == ";":
-                if frames:
-                    fail("unexpected ';' inside parentheses", i)
-                i += 1
-                i = skip_ws(i)
-                if i < n:
-                    fail("trailing content after ';'", i)
-                tree = PhyloTree.from_nested(done)
-                tree.validate()
-                return tree
-            fail(f"expected ',', ')' or ';', got {ch!r}", i)
+            _fail(text, _line, _after_subtree_error(text, tokens, j), j)
+    if not tokens:
+        _fail(text, _line, "empty input", 0)
+    expected = "a subtree" if want else "',', ')' or ';'"
+    _fail(text, _line, f"unexpected end of input, expected {expected}", len(tokens))
+
+
+def _fail(text: str, line: int | None, message: str, j: int):
+    """Raise NewickError at the start of token j, or at the end of ``text``
+    when there is no token j. Offsets are found only here, on failure."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    raise NewickError(message, starts[j] if j < len(starts) else len(text), line)
+
+
+def _after_subtree_error(text: str, tokens: list[str], j: int) -> str:
+    """Message for token j, which follows a complete subtree but is not ',',
+    ')' or ';'. A ':' after ')' or right after a leaf opens a branch length,
+    and a label after ')' is an internal node label."""
+    tok, prev = tokens[j], tokens[j - 1]
+    if tok == ":":
+        ends = [m.end() for m in _TOKEN.finditer(text)]
+        if prev == ")" or ends[j - 1] == ends[j] - 1:
+            return "branch lengths are not supported"
+    elif prev == ")" and tok[0] in LABEL_CHARS:
+        return "internal node labels are not supported"
+    return f"expected ',', ')' or ';', got {tok[0]!r}"
 
 
 def serialize(t: PhyloTree) -> str:
     """Newick string for ``t``, children in stored order, ';'-terminated."""
     out: list[str] = []
-    stack: list = [("n", t.root)]
+    stack: list = [t.root]  # node ids, and punctuation still to write
     while stack:
-        kind, item = stack.pop()
-        if kind == "s":
+        item = stack.pop()
+        if isinstance(item, str):
             out.append(item)
-            continue
-        ks = t.children[item]
-        if not ks:
-            out.append(t.labels[item])
-        else:
+        elif t.children[item]:
+            left, right = t.children[item]
             out.append("(")
-            stack.append(("s", ")"))
-            stack.append(("n", ks[1]))
-            stack.append(("s", ","))
-            stack.append(("n", ks[0]))
+            stack += (")", right, ",", left)
+        else:
+            out.append(t.labels[item])
     out.append(";")
     return "".join(out)
 

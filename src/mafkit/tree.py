@@ -140,6 +140,8 @@ class PhyloTree:
 
     @property
     def leaf_labels(self) -> frozenset:
+        """A new frozenset per access; per-component loops that only iterate
+        or test emptiness read ``label_node`` instead."""
         return frozenset(self.label_node)
 
     @property
@@ -183,7 +185,8 @@ def below(t: PhyloTree, v: int, u: int) -> bool:
 
 
 def lca(t: PhyloTree, taxa) -> int:
-    """Node id of the most recent common ancestor of the given taxa.
+    """Node id of the most recent common ancestor of the given taxa, any
+    collection of names (a set, or a tree's ``label_node``).
 
     A singleton set maps to the leaf itself. Raises ValueError for unknown
     or empty taxa.

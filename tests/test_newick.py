@@ -1,10 +1,15 @@
-"""Parser and serializer: worked cases, strictness, and round-trip laws."""
+"""Parser and serializer: worked cases, strictness, round-trip laws, and
+agreement with the reference parser on accepted and rejected inputs."""
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mafkit import NewickError, parse, read_trees, serialize
 from mafkit.gen import random_tree
+
+import reference_newick
 
 
 def test_three_leaf_shape():
@@ -48,27 +53,35 @@ def test_error_offsets(text, offset):
     with pytest.raises(NewickError) as err:
         parse(text)
     assert err.value.offset == offset
+    _assert_same(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "((a,b),c)",        # missing ';'
-        "((a,b),c); x",     # trailing content
-        "((a,b),a);",       # duplicate taxon
-        "((a,b)x,c);",      # internal label
-        "((a:1,b),c);",     # branch length
-        "((a,b):2,c);",     # branch length on internal edge
-        "(a);",             # unary node
-        "(a,b));",          # unmatched paren
-        "((a,b),c;",        # unclosed paren
-        ";",                # no subtree
-        "(a,(b,c)",         # truncated
-    ],
-)
+REJECTED = [
+    "((a,b),c)",        # missing ';'
+    "((a,b),c); x",     # trailing content
+    "((a,b),a);",       # duplicate taxon
+    "((a,b)x,c);",      # internal label
+    "((a:1,b),c);",     # branch length
+    "((a,b):2,c);",     # branch length on internal edge
+    "(a);",             # unary node
+    "(a,b));",          # unmatched paren
+    "((a,b),c;",        # unclosed paren
+    ";",                # no subtree
+    "(a,(b,c)",         # truncated
+    "a :1;",            # ':' after whitespace: not a branch length to the parser
+    "(a,b) :1;",        # branch length after whitespace, on an internal edge
+    "(a,b) x;",         # internal label after whitespace
+    "(a,b)\x85y;",      # ... after Unicode whitespace
+    "a b;",             # two leaves with no parentheses
+    "a;;",              # a second ';'
+]
+
+
+@pytest.mark.parametrize("text", REJECTED)
 def test_rejections(text):
     with pytest.raises(NewickError):
         parse(text)
+    _assert_same(text)
 
 
 def test_error_carries_offset_and_line():
@@ -109,3 +122,82 @@ def test_parser_never_crashes(text):
         assert 0 <= err.offset <= len(text)
     else:
         t.validate()
+
+
+# ── differential: the one-pass parser against the reference parser ─────
+
+# Newick punctuation, label characters, and whitespace that ``str.isspace``
+# accepts beyond ASCII (information separators, NEL, NBSP, EM SPACE).
+SPACES = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2003"
+NEWICK_CHARS = "(),;:#ab_.-9x" + SPACES
+
+
+def _outcome(parse_fn, text, **kw):
+    """Node tables of the accepted tree, or (message, offset, line)."""
+    try:
+        t = parse_fn(text, **kw)
+    except NewickError as err:
+        return "rejected", str(err), err.offset, err.line
+    t.validate()
+    return "accepted", t.parent, t.children, t.labels, t.root
+
+
+def _read_outcome(read_fn, text):
+    try:
+        trees = read_fn(text)
+    except NewickError as err:
+        return "rejected", str(err), err.offset, err.line
+    for t in trees:
+        t.validate()
+    return "accepted", [(t.parent, t.children, t.labels) for t in trees]
+
+
+def _assert_same(text, **kw):
+    assert _outcome(parse, text, **kw) == _outcome(reference_newick.parse, text, **kw)
+
+
+@given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(NEWICK_CHARS)), max_size=40))
+def test_matches_reference_on_any_text(text):
+    _assert_same(text)
+    _assert_same(text, _line=7)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.text(alphabet=SPACES, max_size=3), max_size=300),
+)
+def test_matches_reference_with_whitespace_outside_labels(n, seed, gaps):
+    tokens = re.findall(r"[A-Za-z0-9_.-]+|.", serialize(random_tree(n, seed)))
+    text = "".join(g + tok for g, tok in zip(gaps + [""] * len(tokens), tokens))
+    text += "".join(gaps[len(tokens):])
+    assert _outcome(parse, text)[0] == "accepted"
+    _assert_same(text)
+
+
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=200),
+    st.sampled_from("(),;: ax#\x85"),
+)
+def test_matches_reference_on_damaged_trees(n, seed, at, ch):
+    text = serialize(random_tree(n, seed))
+    at %= len(text) + 1
+    _assert_same(text[:at] + ch + text[at:])
+    _assert_same(text[:at] + text[at + 1:])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.builds(lambda n, s: serialize(random_tree(n, s)), st.integers(1, 8), st.integers(0, 99)),
+            st.sampled_from(["", "  ", "# comment", "\t#x", "(a,b)", "(a,(b,c));", "((a,b),a);"]),
+            st.text(alphabet=NEWICK_CHARS, max_size=12),
+        ),
+        max_size=8,
+    )
+)
+def test_read_trees_matches_reference_line_numbers(lines):
+    text = "\n".join(lines)
+    assert _read_outcome(read_trees, text) == _read_outcome(reference_newick.read_trees, text)

@@ -1,8 +1,9 @@
 """Scale guards: the triple search must stay far from its old cubic time and
-quadratic memory, and the checks over a forest's components must not redo
-a per-component restriction. The bounds are generous, so a pass is not luck
-and a failure means a return to a per-triple scan, a pairwise table or a
-rescan of every component."""
+quadratic memory, the checks over a forest's components must not redo a
+per-component restriction, and parsing must stay linear and iterative. The
+bounds are generous, so a pass is not luck and a failure means a return to a
+per-triple scan, a pairwise table, a rescan of every component or a
+recursive parser."""
 
 import sys
 import time
@@ -18,6 +19,8 @@ from mafkit import (
     instance,
     is_agreement_forest,
     maf_approx,
+    parse,
+    serialize,
 )
 from mafkit import tree
 from mafkit.gen import spr_move
@@ -110,3 +113,21 @@ def test_component_checks_restrict_each_component_once(monkeypatch):
     calls.clear()
     assert is_agreement_forest(forest, trees)
     assert not calls, f"{sum(calls.values())} restricted_canonical calls"
+
+
+@pytest.mark.parametrize("shape", [_random_tree, _caterpillar], ids=["random", "caterpillar"])
+def test_parse_20000_leaves_is_linear_and_iterative(shape):
+    """The caterpillar nests 20 000 levels deep, far past the recursion
+    limit, so a recursive parser fails here; the parse must also stay under
+    the same 16 MiB bound and give back the very node tables."""
+    t = shape(20_000)
+    text = serialize(t)
+    assert t.n_leaves > sys.getrecursionlimit()
+    tracemalloc.start()
+    try:
+        back = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert (back.parent, back.children, back.labels) == (t.parent, t.children, t.labels)
