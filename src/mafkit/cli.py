@@ -125,17 +125,13 @@ def _cmd_forest(args, command: str) -> int:
         cuts.extend(cycle_cuts)
     elapsed = time.perf_counter() - started
 
-    report = _report_skeleton(command, text, trees)
-    report["forest"] = _forest_json(forest)
-    report["cuts"] = _cuts_json(cuts)
     bounds = {}
     if command == "rspr":
         bounds["rspr_upper"] = forest.size - 1
     if command in ("maaf", "hyb"):
         bounds["hybridization_upper"] = forest.size - 1
-    if bounds:
-        report["bounds"] = bounds
 
+    oracle = None
     if args.oracle:
         exact_fn = exact_maaf if command in ("maaf", "hyb") else exact_maf
         result = exact_fn(trees, max_cuts=args.max_cuts)
@@ -147,20 +143,24 @@ def _cmd_forest(args, command: str) -> int:
             oracle["rspr"] = result.min_cuts
         if command in ("maaf", "hyb"):
             oracle["hybridization"] = result.witness_forest.size - 1
-        report["oracle"] = oracle
 
     if args.verbose:
         _log_cuts(cuts)
         print(f"# wall_time_ms {elapsed * 1000.0:.1f}", file=sys.stderr)
 
     if args.format == "newick":
-        facts = {"forest_size": forest.size, "cuts_total": cuts.edges_removed()}
-        for key, value in report.get("bounds", {}).items():
-            facts[key] = value
+        facts = {"forest_size": forest.size, "cuts_total": cuts.edges_removed(), **bounds}
         _emit_newick(forest, facts)
     elif args.format == "dot":
         _emit_dot(forest, trees)
     else:
+        report = _report_skeleton(command, text, trees)
+        report["forest"] = _forest_json(forest)
+        report["cuts"] = _cuts_json(cuts)
+        if bounds:
+            report["bounds"] = bounds
+        if oracle is not None:
+            report["oracle"] = oracle
         _emit_json(report)
     return EXIT_OK
 

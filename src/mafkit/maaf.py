@@ -43,7 +43,8 @@ tree, so every other settled y gives no witness; trying the candidates in
 settling order therefore hits the same y first as trying every settled
 component in order did. ``build_gf`` finds the nested pairs of one tree by
 sorting the mapped roots by preorder id and keeping a stack of those whose
-subtree holds the current one.
+subtree holds the current one. Each component's mapped roots are found once,
+when it enters the queue, and the final digraph is built from those.
 """
 
 from __future__ import annotations
@@ -87,8 +88,12 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     """
     if validate and not is_agreement_forest(f, trees):
         raise ValueError("not an agreement forest of the given trees")
-    roots = [mapped_roots(comp, trees) for comp in f.components]
-    m = f.size
+    return _digraph([mapped_roots(comp, trees) for comp in f.components], trees)
+
+
+def _digraph(roots, trees) -> ForestDigraph:
+    """``build_gf`` on the components' ``mapped_roots``, given in order."""
+    m = len(roots)
     edges: dict = {}
     for ti, t in enumerate(trees):
         # in preorder every ancestor comes first; the stack holds the
@@ -200,6 +205,7 @@ def maaf_approx(f: Forest, trees) -> tuple:
         xi, yi = work.index(x), work.index(y)
         edges = ((xi, 1), (yi, 1))
         work[:] = _cut(Forest(tuple(work), f.origin_labels), edges).components
+        del roots[x], roots[y]
         # each root cut leaves two pieces in place, so the later pair shifts by one
         for at in (xi + (xi > yi), yi + (yi > xi)):
             for piece in work[at : at + 2]:
@@ -226,11 +232,10 @@ def maaf_approx(f: Forest, trees) -> tuple:
         rank.clear()
         for settled_at in by_root:
             settled_at.clear()
-        result = Forest(tuple(work), f.origin_labels)
-        g = build_gf(result, trees, validate=False)
+        g = _digraph([roots[c] for c in work], trees)
         cycle = find_cycle(g)
         if cycle is None:
-            return result, cuts
+            return Forest(tuple(work), f.origin_labels), cuts
         # a cycle longer than 2 survived the pairwise loop: break one
         # adjacent pair on it with the same two-edge rule and resume
         i, j = cycle[0], cycle[1]

@@ -10,12 +10,17 @@ cutting follow:
    shared node (they are *inseparable* there), delete one edge in each
    component to shrink the shared region.
 
-Triple cuts only ever split components, and a component's triples are a
-subset of its parent's, so phase 1 settles in one pass per tree and can
-never be reopened by later cuts. Overlap cuts, by contrast, can create new
-overlaps with respect to trees that were already clean, so phase 2 sweeps
-the trees repeatedly until a full pass makes no cut. Every cut strictly
-reduces the forest's edge count, which bounds the total number of
+Each phase is one pass over the trees, cutting on each tree until it is
+clean. Every cut only splits components, and a piece is the restriction of
+the component it came from. So a piece's triples are a subset of its
+parent's, and its embedding in any tree (the minimal subtree connecting its
+taxa) lies inside its parent's embedding there. A tree clean of triples or
+of overlaps therefore stays clean under every later cut, and a second pass
+would find nothing. Components and trees are immutable, so a component's
+Steiner set in a tree holds for as long as the component is in the forest:
+the overlap phase keeps one set per live component while it works on one
+tree, and drops only the two components that each cut replaces. Every cut
+strictly reduces the forest's edge count, which bounds the total number of
 iterations by the size of the first tree; a cut that does not is an error.
 
 The number of edges removed is at most three per triple iteration and two
@@ -80,7 +85,7 @@ class OverlapWitness:
     edge_y: int
 
 
-def find_overlap(f: Forest, t_i: PhyloTree):
+def find_overlap(f: Forest, t_i: PhyloTree, sets=None):
     """First pair of components (in index order) whose minimal connecting
     subtrees in ``t_i`` share a node, or None when all embeddings are
     pairwise disjoint. Single-leaf components embed as bare leaves and can
@@ -91,21 +96,29 @@ def find_overlap(f: Forest, t_i: PhyloTree):
     share: an owner below x there would make a smaller pair with y. So the
     least (owner, y) over all shared nodes is the answer; the scan cannot
     stop at the first hit, since a later y can still pair with a smaller x.
+
+    ``sets``, when given, maps components (by identity) to their Steiner
+    sets in ``t_i`` from earlier calls on the same tree; this call reads and
+    extends it. A caller that keeps it across cuts drops the components each
+    cut replaces, so it holds only live ones.
     """
+    if sets is None:
+        sets = {}
     comps = f.components
     owner: dict = {}
     best = None
     for y, comp in enumerate(comps):
-        for node in steiner_nodes(t_i, comp.label_node):
+        nodes = sets.get(comp)
+        if nodes is None:
+            nodes = sets[comp] = steiner_nodes(t_i, comp.label_node)
+        for node in nodes:
             x = owner.setdefault(node, y)
             if x != y and (best is None or (x, y) < best):
                 best = (x, y)
     if best is None:
         return None
     x, y = best
-    shared = steiner_nodes(t_i, comps[x].label_node) & steiner_nodes(
-        t_i, comps[y].label_node
-    )
+    shared = sets[comps[x]] & sets[comps[y]]
     depths = t_i.depths
     meet = max(shared, key=lambda nd: (depths[nd], -nd))
     return OverlapWitness(
@@ -165,47 +178,32 @@ def maf_approx(trees) -> tuple:
     forest = Forest.from_tree(trees[0])
     cuts = CutSet()
 
-    # Phase 1: triples. A clean full pass terminates the sweep. Triple cuts
-    # only split the host, so every other component keeps its verdict in
-    # every tree; the host's go with it.
-    memos = [{} for _ in trees]
-    while True:
-        cut_made = False
-        for i in range(1, len(trees)):
-            while True:
-                tr = find_incompatible(forest, trees[i], memos[i])
-                if tr is None:
-                    break
-                tc = locate_cuts(forest, tr, trees[i])
-                edges = (
-                    (tr.host, tc.edge_a),
-                    (tr.host, tc.edge_c),
-                    (tr.host, tc.edge_cherry),
-                )
-                for memo in memos:
-                    memo.pop(forest.components[tr.host], None)
-                forest = _cut(forest, edges)
-                cuts.entries.append(CutEntry("triple", i, edges, str(tr)))
-                cut_made = True
-        if not cut_made:
-            break
+    # Phase 1: triples. The memo keeps each component's verdict in the
+    # current tree; a cut replaces only the host, so only its verdict goes.
+    for i in range(1, len(trees)):
+        memo: dict = {}
+        while (tr := find_incompatible(forest, trees[i], memo)) is not None:
+            tc = locate_cuts(forest, tr, trees[i], memo)
+            edges = (
+                (tr.host, tc.edge_a),
+                (tr.host, tc.edge_c),
+                (tr.host, tc.edge_cherry),
+            )
+            del memo[forest.components[tr.host]]
+            forest = _cut(forest, edges)
+            cuts.entries.append(CutEntry("triple", i, edges, str(tr)))
 
-    # Phase 2: overlaps. Cuts here can reopen earlier trees, hence the sweep.
-    while True:
-        cut_made = False
-        for i in range(1, len(trees)):
-            while True:
-                ow = find_overlap(forest, trees[i])
-                if ow is None:
-                    break
-                edges = ((ow.x, ow.edge_x), (ow.y, ow.edge_y))
-                forest = _cut(forest, edges)
-                cuts.entries.append(
-                    CutEntry("overlap", i, edges, f"components {ow.x}~{ow.y}")
-                )
-                cut_made = True
-        if not cut_made:
-            break
+    # Phase 2: overlaps, with each live component's Steiner set in the
+    # current tree; a cut replaces the two overlapping components.
+    for i in range(1, len(trees)):
+        sets: dict = {}
+        while (ow := find_overlap(forest, trees[i], sets)) is not None:
+            edges = ((ow.x, ow.edge_x), (ow.y, ow.edge_y))
+            del sets[forest.components[ow.x]], sets[forest.components[ow.y]]
+            forest = _cut(forest, edges)
+            cuts.entries.append(
+                CutEntry("overlap", i, edges, f"components {ow.x}~{ow.y}")
+            )
 
     return forest, cuts
 

@@ -92,8 +92,9 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
 
     ``memo``, when given, maps components (by identity) to what an earlier
     call found for them in ``t_i``: None when clean, else their minimal
-    triple. Components and trees are immutable, so a verdict holds as long
-    as its component is in the forest; this call reads and extends it.
+    triple and their ``lca_map`` into ``t_i``, which ``locate_cuts`` reuses.
+    Components and trees are immutable, so a verdict holds as long as its
+    component is in the forest; this call reads and extends it.
     """
     if memo is None:
         memo = {}
@@ -105,14 +106,15 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
             memo[comp] = None
             if restricted_canonical(t_i, comp.leaf_labels) != comp.canonical():
                 memo[comp] = _deepest_conflict(comp, ci, t_i)
-        cand = memo[comp]
-        if cand is not None and (best is None or cand.taxa_key() < best.taxa_key()):
-            best = replace(cand, host=ci)
+        hit = memo[comp]
+        if hit is not None and (best is None or hit[0].taxa_key() < best.taxa_key()):
+            best = replace(hit[0], host=ci)
     return best
 
 
-def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> Triple:
-    """Minimal incompatible triple of a component known to conflict.
+def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> tuple:
+    """Minimal incompatible triple of a component known to conflict, with
+    the component's ``lca_map`` into ``t_i`` that found it.
 
     Anchors (outer, cherry, other) — a cherry node inside one child of outer,
     other the other child — are scanned in decreasing (depth(outer),
@@ -171,11 +173,12 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> Triple:
                         best = cand if best is None else min(best, cand)
         if best is not None:
             (a, b, c), outer, cherry = best
-            return Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
+            tr = Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
+            return tr, m
     raise AssertionError("component conflicts but no incompatible triple found")
 
 
-def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
+def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:
     """The cut edges around a minimal incompatible triple.
 
     ``edge_c`` is chosen by walking from the triple ancestor toward c and
@@ -187,6 +190,9 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     neither a nor b is below m(node): one interval test per step. The walk
     always terminates: the parent edge of leaf c satisfies the condition
     vacuously.
+
+    ``memo`` is ``find_incompatible``'s for ``t_i``; the host's map m is
+    read from it when the search that found ``tr`` stored one.
     """
     comp = f.components[tr.host]
     if _resolves(t_i, tr.a, tr.b, tr.c):
@@ -204,7 +210,8 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     edge_b = [k for k in comp.children[tr.cherry_lca] if k != edge_a][0]
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)
 
-    m = lca_map(comp, t_i)
+    hit = memo.get(comp) if memo else None
+    m = hit[1] if hit else lca_map(comp, t_i)
     pa, pb = t_i.label_node[tr.a], t_i.label_node[tr.b]
     node = child_toward(tr.triple_lca, c_node)
     while below(t_i, pa, m[node]) or below(t_i, pb, m[node]):

@@ -7,7 +7,9 @@ every pair of components. The old code is kept verbatim in
 ``tests/reference_*.py``; here both must agree on every forest that a
 ``maf_approx`` + ``maaf_approx`` run passes through, on tangled agreement
 forests built to have many cycles, and (the agreement test) on random
-partitions that are mostly not agreement forests.
+partitions that are mostly not agreement forests. ``maf_approx`` itself,
+one pass per phase with Steiner sets kept across a tree's overlap cuts, must
+match the old loop that swept each phase until nothing changed.
 """
 
 from mafkit import (
@@ -23,7 +25,7 @@ from mafkit import (
     maaf_approx,
     maf_approx,
 )
-from mafkit import maaf
+from mafkit import maaf, maf
 from mafkit.forest import steiner_nodes
 from mafkit.gen import _grafted_nested, random_tree, spr_move
 from mafkit.tree import partition_forms, restrict, restricted_canonical, restricted_nested
@@ -80,6 +82,78 @@ def test_component_checks_match_reference_on_runs():
             _check_forest(f, trees, seen)
     print(f"\nforests checked: {seen}")
     assert min(seen.values()) > 0, seen
+
+
+def _caterpillar(order):
+    nested = order[0]
+    for lab in order[1:]:
+        nested = (nested, lab)
+    return PhyloTree.from_nested(nested)
+
+
+def _caterpillar_cases():
+    """12 deep instances: a caterpillar on 6-55 taxa, and 1-5 more trees,
+    each the caterpillar with 1-4 random label swaps, half of them then
+    moved by one SPR."""
+    for idx in range(12):
+        rng = SeededRng(909, stream=idx)
+        labels = [f"t{i}" for i in range(1, 7 + rng.below(50))]
+        trees = [_caterpillar(labels)]
+        for j in range(1 + rng.below(5)):
+            order = list(labels)
+            for _ in range(1 + rng.below(4)):
+                a, b = rng.below(len(order)), rng.below(len(order))
+                order[a], order[b] = order[b], order[a]
+            t = _caterpillar(order)
+            trees.append(spr_move(t, seed=idx, stream=j) if rng.below(2) else t)
+        yield trees
+
+
+def test_one_pass_phases_match_sweeps_until_clean():
+    """A second sweep of either phase never cuts, since pieces keep a subset
+    of their parent's triples and of its embedding in every tree; so the
+    forest and the whole cut log must equal the old loop's."""
+    seen = {"triple": 0, "overlap": 0}
+    for trees in [*_grid(), *_caterpillar_cases()]:
+        forest, cuts = maf_approx(trees)
+        ref_forest, ref_cuts = reference_maf.maf_approx(trees)
+        assert forest_newicks(forest) == forest_newicks(ref_forest)
+        assert cuts.entries == ref_cuts.entries
+        for phase in seen:
+            seen[phase] += cuts.count(phase)
+    print(f"\ncut entries: {seen}")
+    assert min(seen.values()) > 0, seen
+
+
+def test_overlap_sets_kept_per_tree_match_fresh_search(monkeypatch):
+    """``maf_approx`` hands ``find_overlap`` one dict of Steiner sets per
+    tree and keeps it across that tree's cuts. At every call the dict must
+    hold only live components, each with its Steiner set in that tree, and
+    the answer must equal a search without the dict."""
+    real = maf.find_overlap
+    calls = []
+
+    def checking(f, t, sets):
+        live = {id(c) for c in f.components}
+        assert all(id(c) in live for c in sets), "a cut component was kept"
+        for c, nodes in sets.items():
+            assert nodes == steiner_nodes(t, c.leaf_labels)
+        calls.append((t, sets, len(sets)))
+        got = real(f, t, sets)
+        assert got == real(f, t)
+        return got
+
+    monkeypatch.setattr(maf, "find_overlap", checking)
+    reused = 0
+    for trees in [*_grid(), *_caterpillar_cases()]:
+        calls.clear()
+        maf_approx(trees)
+        dict_of = {}
+        for t, sets, _ in calls:
+            assert dict_of.setdefault(id(t), sets) is sets, "one dict per tree"
+        assert len({id(d) for d in dict_of.values()}) == len(dict_of) == len(trees) - 1
+        reused += sum(n > 0 for _, _, n in calls)
+    assert reused > 0
 
 
 def _tangled(idx):

@@ -1,9 +1,9 @@
 """Scale guards: the triple search must stay far from its old cubic time and
 quadratic memory, the checks over a forest's components must not redo a
-per-component restriction, and parsing must stay linear and iterative. The
-bounds are generous, so a pass is not luck and a failure means a return to a
-per-triple scan, a pairwise table, a rescan of every component or a
-recursive parser."""
+per-component restriction or embedding, and parsing must stay linear and
+iterative. The bounds are generous, so a pass is not luck and a failure
+means a return to a per-triple scan, a pairwise table, a rescan of every
+component or a recursive parser."""
 
 import sys
 import time
@@ -18,11 +18,14 @@ from mafkit import (
     SeededRng,
     instance,
     is_agreement_forest,
+    maaf_approx,
     maf_approx,
+    mapped_roots,
     parse,
     serialize,
+    steiner_nodes,
 )
-from mafkit import tree
+from mafkit import maf, tree
 from mafkit.gen import spr_move
 
 
@@ -113,6 +116,45 @@ def test_component_checks_restrict_each_component_once(monkeypatch):
     calls.clear()
     assert is_agreement_forest(forest, trees)
     assert not calls, f"{sum(calls.values())} restricted_canonical calls"
+
+
+def test_embeddings_computed_once(monkeypatch):
+    """Counts, on the same instance: ``maf_approx`` asks ``find_overlap`` once
+    per overlap cut plus once per tree to find it clean, builds each Steiner
+    set once per tree, and ``maaf_approx`` maps each component's roots once,
+    final digraph included. Components only ever split, so a leaf set names
+    one component."""
+    trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
+    overlap_calls = []
+    steiner = Counter()
+    roots = Counter()
+    find_overlap = maf.find_overlap
+
+    def counting_overlap(*args):
+        overlap_calls.append(1)
+        return find_overlap(*args)
+
+    def counting_steiner(t, taxa):
+        steiner[id(t), frozenset(taxa)] += 1
+        return steiner_nodes(t, taxa)
+
+    def counting_roots(comp, ts):
+        roots[comp.leaf_labels] += 1
+        return mapped_roots(comp, ts)
+
+    monkeypatch.setattr(maf, "find_overlap", counting_overlap)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mafkit":
+            for attr, fn in (("steiner_nodes", counting_steiner), ("mapped_roots", counting_roots)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, fn)
+    f, cuts = maf_approx(trees)
+    assert cuts.count("overlap") > 0
+    assert len(overlap_calls) == cuts.count("overlap") + len(trees) - 1
+    assert steiner and max(steiner.values()) == 1, Counter(steiner.values())
+    _, cycle_cuts = maaf_approx(f, trees)
+    assert cycle_cuts.entries
+    assert max(roots.values()) == 1, Counter(roots.values())
 
 
 @pytest.mark.parametrize("shape", [_random_tree, _caterpillar], ids=["random", "caterpillar"])
