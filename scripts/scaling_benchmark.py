@@ -7,7 +7,9 @@
 Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
 reports the median seconds of each, then one more run under ``tracemalloc``
 for the peak traced memory of the pair. ``parse_s`` is the median over the
-same repeats of ``read_trees`` on the instance's ``write_trees`` text.
+same repeats of ``read_trees`` on the instance's ``write_trees`` text. Rows
+with n at most ``oracle.HARD_TAXON_CAP`` also get ``exact_s``, the median
+over the same repeats of ``exact_maf`` plus ``exact_maaf``.
 ``--json PATH`` also writes the machine, the Python version and every row to
 PATH.
 """
@@ -22,6 +24,8 @@ import tracemalloc
 
 from mafkit import (
     GenSpec,
+    exact_maaf,
+    exact_maf,
     instance,
     is_agreement_forest,
     maf_approx,
@@ -29,6 +33,7 @@ from mafkit import (
     read_trees,
     write_trees,
 )
+from mafkit.oracle import HARD_TAXON_CAP
 
 
 def _machine() -> str:
@@ -48,7 +53,7 @@ def _machine() -> str:
 def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
     trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
     text = write_trees(trees)
-    maf_s, maaf_s, parse_s = [], [], []
+    maf_s, maaf_s, parse_s, exact_s = [], [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         parsed = read_trees(text)
@@ -60,6 +65,10 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
         t2 = time.perf_counter()
         maf_s.append(t1 - t0)
         maaf_s.append(t2 - t1)
+        if n <= HARD_TAXON_CAP:
+            exact_maf(trees)
+            exact_maaf(trees)
+            exact_s.append(time.perf_counter() - t2)
     assert is_agreement_forest(acyclic, trees)
     assert write_trees(parsed) == text
     tracemalloc.start()
@@ -68,7 +77,7 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {
+    row = {
         "n": n,
         "k": k,
         "moves": moves,
@@ -82,6 +91,9 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
         "cut_edges": cuts.edges_removed() + cycle_cuts.edges_removed(),
         "maaf_components": acyclic.size,
     }
+    if exact_s:
+        row["exact_s"] = round(statistics.median(exact_s), 4)
+    return row
 
 
 def main():
@@ -97,7 +109,7 @@ def main():
     rows = []
     print(
         f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'parse_s':>8} "
-        f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7}"
+        f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7} {'exact_s':>8}"
     )
     for n in args.sizes:
         row = _row(n, args.k, args.moves, args.seed, args.repeats)
@@ -105,7 +117,8 @@ def main():
         print(
             f"{n:>6} {args.k:>3} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
             f"{row['parse_s']:>8.4f} {row['peak_mib']:>9.2f} "
-            f"{row['cut_edges']:>6} {row['maaf_components']:>7}"
+            f"{row['cut_edges']:>6} {row['maaf_components']:>7} "
+            f"{row.get('exact_s', '-'):>8}"
         )
     if args.json:
         report = {

@@ -10,21 +10,23 @@ minimum forest size determine each other and enumerating subsets of the
 first tree's edges is exhaustive.
 
 A subset is judged by the leaf partition it induces, not by a built forest.
-With taxa numbered as bits, every node of the starting forest carries the
-mask of the leaves below it; taking the cut children in descending preorder
-id, each detached piece is its node's mask minus the leaves already claimed
-by deeper cuts, and what no cut claims stays with its component's root.
-A piece is the restriction of its starting component to the piece's taxa,
-so it agrees with the input trees exactly when ``restricted_canonical``
-gives the same form in each of them as in that component. The verdict
-depends on the leaf set alone and is memoised in one byte per subset of the
-taxa: at most 2^16 bytes (64 KiB) under the taxon cap. In each input tree,
-a piece's embedding below its lca is the union of its leaves' root paths
-(node bitmasks) minus their intersection, and two pieces overlap exactly
-when these masks share a bit. Only a subset that passes both tests becomes
-a ``Forest`` (for the acyclic variant, its component digraph decides), and
-the winner is confirmed by ``is_agreement_forest`` before it is returned; a
-winner it rejects raises RuntimeError.
+With taxa numbered as bits, every node of the starting forest and of each
+input tree carries the mask of the leaves below it; taking the cut children
+in descending preorder id, each detached piece is its node's mask minus the
+leaves already claimed by deeper cuts, and what no cut claims stays with its
+component's root. A piece is the restriction of its starting component to
+the piece's taxa. A tree's nodes, ANDed with the piece and with the empty set
+dropped, give the clusters of its restriction to the piece, and a rooted
+tree is determined by its clusters; so a piece agrees with the input trees
+exactly when that cluster set is the same in its component and in each of
+them. The verdict depends on the leaf set alone and is memoised in one byte
+per subset of the taxa: at most 2^16 bytes (64 KiB) under the taxon cap. In
+each input tree, a piece's embedding below its lca is the union of its
+leaves' root paths (node bitmasks) minus their intersection, and two pieces
+overlap exactly when these masks share a bit. Only a subset that passes both
+tests becomes a ``Forest`` (for the acyclic variant, its component digraph
+decides), and the winner is confirmed by ``is_agreement_forest`` before it
+is returned; a winner it rejects raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import combinations
 
 from .forest import Forest, check_input_trees, cut_edges, is_agreement_forest
 from .maaf import build_gf, is_acyclic
-from .tree import fold, restricted_canonical
+from .tree import fold
 
 HARD_TAXON_CAP = 16
 
@@ -54,15 +56,35 @@ class OracleResult:
     witness_edges: tuple
 
 
+def _node_masks(start: Forest, trees):
+    """Taxon name -> leaf bit, and the mask of the leaves below every node:
+    per start component, then per input tree (index = node id)."""
+    start.check_taxa(trees)
+    leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
+    below = [fold(comp, leaf_bit.__getitem__, operator.or_) for comp in start.components]
+    tree_masks = [fold(t, leaf_bit.__getitem__, operator.or_) for t in trees]
+    return leaf_bit, below, tree_masks
+
+
+def _leaf_set_agrees(piece: int, below, tree_masks) -> bool:
+    """Whether the leaf set ``piece``, which lies inside one start component,
+    has the same restriction there as in every input tree: the same
+    clusters, the nonzero ``mask & piece`` over each tree's nodes."""
+    home = next(masks for masks in below if masks[0] & piece)
+    clusters = {m & piece for m in home}
+    clusters.discard(0)
+    for masks in tree_masks:
+        found = {m & piece for m in masks}
+        found.discard(0)
+        if found != clusters:
+            return False
+    return True
+
+
 def _partition_test(start: Forest, trees):
     """A function telling whether cutting a subset of ``start.all_edges()``
     (in that order) leaves an agreement forest of ``trees``."""
-    start.check_taxa(trees)
-    leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
-    # leaf bit -> the start component holding that leaf
-    comp_of = {leaf_bit[lab]: comp for comp in start.components for lab in comp.leaf_labels}
-    # per start component, per node: the leaves below it
-    below = [fold(comp, leaf_bit.__getitem__, operator.or_) for comp in start.components]
+    leaf_bit, below, tree_masks = _node_masks(start, trees)
     wholes = [masks[0] for masks in below]
     leaf_paths = []  # per input tree, per leaf bit: the nodes up to the root
     for t in trees:
@@ -71,13 +93,6 @@ def _partition_test(start: Forest, trees):
             path[u] = path[t.parent[u]] | 1 << u
         leaf_paths.append({leaf_bit[lab]: path[u] for lab, u in t.label_node.items()})
     memo = bytearray(1 << len(leaf_bit))
-
-    def verdict(piece: int) -> int:
-        labs = frozenset(lab for lab, b in leaf_bit.items() if piece & b)
-        form = restricted_canonical(comp_of[piece & -piece], labs)
-        if all(restricted_canonical(t, labs) == form for t in trees):
-            return _AGREES
-        return _DISAGREES
 
     def agrees(subset) -> bool:
         pieces = []
@@ -89,7 +104,7 @@ def _partition_test(start: Forest, trees):
         pieces = [p for p in pieces if p]
         for p in pieces:
             if not memo[p]:
-                memo[p] = verdict(p)
+                memo[p] = _AGREES if _leaf_set_agrees(p, below, tree_masks) else _DISAGREES
             if memo[p] == _DISAGREES:
                 return False
         for paths in leaf_paths:

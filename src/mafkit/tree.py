@@ -17,9 +17,9 @@ and a join, treating cut edges and empty subtrees as absent and passing a
 lone present child straight up (degree-2 suppression); restriction, cutting
 and the LCA map go through it. Three sweeps stay plain loops because they
 are hot and a callback per node measurably slows them:
-``restricted_canonical`` (the triple phase's cleanliness test and most of
-the exact search's time), ``partition_forms`` (canonical forms, and the
-agreement check for all components of a forest at once) and
+``restricted_canonical`` (the triple phase's cleanliness test; the exact
+search compares cluster masks instead), ``partition_forms`` (canonical
+forms, and the agreement check for all components of a forest at once) and
 ``gen._grafted_nested`` (the SPR regraft behind every generated instance).
 """
 
@@ -267,10 +267,10 @@ def restricted_nested(t: PhyloTree, taxa):
 def restricted_canonical(t: PhyloTree, taxa) -> str:
     """Canonical form of restrict(t, taxa) without building the tree.
 
-    A plain loop, not ``fold``: it is the agreement check's inner loop, and a
-    callback per node made it 1.3-1.5x slower. A node's children are
-    released once its form is built, so a caterpillar keeps O(n) characters
-    alive instead of O(n * depth).
+    A plain loop, not ``fold``: it runs once per new component and input
+    tree in the triple phase, and a callback per node made it 1.3-1.5x
+    slower. A node's children are released once its form is built, so a
+    caterpillar keeps O(n) characters alive instead of O(n * depth).
     """
     keep = taxa if isinstance(taxa, frozenset) else frozenset(taxa)
     children = t.children

@@ -1,11 +1,14 @@
 """Exhaustive small-instance optima: examples, identities, monotonicity."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mafkit import (
     Forest,
     GenSpec,
+    PhyloTree,
     SeededRng,
     cut_edges,
     exact_maaf,
@@ -16,8 +19,10 @@ from mafkit import (
     maf_approx,
     parse,
 )
-from mafkit.gen import random_tree
+from mafkit import oracle
+from mafkit.gen import random_tree, spr_move
 from mafkit.oracle import exact_maaf_forest, exact_maf_forest
+from mafkit.tree import restricted_canonical
 
 import reference_oracle
 
@@ -154,11 +159,68 @@ def test_search_matches_reference():
     assert split_starts >= 50 and short_budgets >= 90, (split_starts, short_budgets)
 
 
+def _caterpillar(order):
+    nested = order[0]
+    for lab in order[1:]:
+        nested = (nested, lab)
+    return PhyloTree.from_nested(nested)
+
+
+def _verdict_cases():
+    """30 seeded ``gen`` instances (n 3-10, k 2-4) and 8 caterpillar ones:
+    a caterpillar on 3-10 taxa and 1-3 more trees, each the caterpillar with
+    1-3 random label swaps, half of them then moved by one SPR."""
+    for idx in range(30):
+        rng = SeededRng(97, stream=idx)
+        yield instance(
+            GenSpec(n=3 + rng.below(8), k=2 + rng.below(3), moves=rng.below(4), seed=idx)
+        )
+    for n in range(3, 11):
+        rng = SeededRng(101, stream=n)
+        labels = [f"t{i}" for i in range(1, n + 1)]
+        trees = [_caterpillar(labels)]
+        for j in range(1 + rng.below(3)):
+            order = list(labels)
+            for _ in range(1 + rng.below(3)):
+                a, b = rng.below(n), rng.below(n)
+                order[a], order[b] = order[b], order[a]
+            t = _caterpillar(order)
+            trees.append(spr_move(t, seed=n, stream=j) if rng.below(2) else t)
+        yield trees
+
+
+def test_leaf_set_verdict_matches_restricted_canonical():
+    """The cluster-mask verdict equals comparing ``restricted_canonical`` forms
+    of the leaf set in its start component and in every input tree, for
+    every non-empty leaf subset of every start component. Starts are the
+    first tree, the approximate forest of the first two trees, and the first
+    tree with two random edges cut."""
+    seen = {True: 0, False: 0}
+    split_starts = 0
+    for idx, trees in enumerate(_verdict_cases()):
+        rng = SeededRng(103, stream=idx)
+        first = Forest.from_tree(trees[0])
+        pool = first.all_edges()
+        random_cut = cut_edges(first, [pool[rng.below(len(pool))] for _ in range(2)])
+        for start in (first, maf_approx(trees[:2])[0], random_cut):
+            split_starts += start.size > 1
+            leaf_bit, below, tree_masks = oracle._node_masks(start, trees)
+            for comp in start.components:
+                labels = sorted(comp.label_node)
+                for size in range(1, len(labels) + 1):
+                    for labs in itertools.combinations(labels, size):
+                        piece = sum(leaf_bit[lab] for lab in labs)
+                        form = restricted_canonical(comp, labs)
+                        expected = all(restricted_canonical(t, labs) == form for t in trees)
+                        got = oracle._leaf_set_agrees(piece, below, tree_masks)
+                        assert got == expected, (idx, start.size, labs)
+                        seen[expected] += 1
+    assert split_starts >= 50 and min(seen.values()) >= 1000, (split_starts, seen)
+
+
 def test_winner_is_rechecked(monkeypatch):
     """The partition test never decides alone: a winner the full agreement
     check rejects is an error, not a result."""
-    from mafkit import oracle
-
     monkeypatch.setattr(oracle, "is_agreement_forest", lambda f, trees: False)
     with pytest.raises(RuntimeError, match="partition test"):
         exact_maf([parse("((a,b),c);"), parse("((a,c),b);")])

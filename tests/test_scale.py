@@ -1,9 +1,10 @@
 """Scale guards: the triple search must stay far from its old cubic time and
 quadratic memory, the checks over a forest's components must not redo a
-per-component restriction or embedding, and parsing must stay linear and
-iterative. The bounds are generous, so a pass is not luck and a failure
-means a return to a per-triple scan, a pairwise table, a rescan of every
-component or a recursive parser."""
+per-component restriction or embedding, the exact search must restrict
+nothing, and parsing must stay linear and iterative. The bounds are
+generous, so a pass is not luck and a failure means a return to a
+per-triple scan, a pairwise table, a rescan of every component, a
+canonical string per leaf set or a recursive parser."""
 
 import sys
 import time
@@ -16,6 +17,8 @@ from mafkit import (
     GenSpec,
     PhyloTree,
     SeededRng,
+    exact_maaf,
+    exact_maf,
     instance,
     is_agreement_forest,
     maaf_approx,
@@ -116,6 +119,26 @@ def test_component_checks_restrict_each_component_once(monkeypatch):
     calls.clear()
     assert is_agreement_forest(forest, trees)
     assert not calls, f"{sum(calls.values())} restricted_canonical calls"
+
+
+def test_exact_search_restricts_nothing(monkeypatch):
+    """Counts: the exact search decides every leaf set by cluster masks, so
+    ``exact_maf`` plus ``exact_maaf`` make no ``restricted_canonical`` call;
+    deciding each new leaf set by canonical strings made 4274 here."""
+    trees = instance(GenSpec(n=10, k=3, moves=3, seed=5))
+    calls = []
+    real = tree.restricted_canonical
+
+    def counting(t, taxa):
+        calls.append(1)
+        return real(t, taxa)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mafkit" and hasattr(module, "restricted_canonical"):
+            monkeypatch.setattr(module, "restricted_canonical", counting)
+    assert exact_maf(trees).min_cuts > 0
+    assert exact_maaf(trees).min_cuts > 0
+    assert not calls, f"{len(calls)} restricted_canonical calls"
 
 
 def test_embeddings_computed_once(monkeypatch):
