@@ -3,8 +3,13 @@
 
     python scripts/scaling_benchmark.py --sizes 100 200 400 800 --k 4
     python scripts/scaling_benchmark.py --sizes 1000 --k 8 --moves 40 --json out.json
+    python scripts/scaling_benchmark.py --shape caterpillar --sizes 1600 --k 2 --moves 50
 
-Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
+``--shape gen`` (the default) takes the ``gen.instance`` trees: one random
+tree and k - 1 copies, each pushed through ``--moves`` SPR moves.
+``--shape caterpillar`` takes the caterpillar on t1..tn and k - 1 copies,
+each with ``--moves`` seeded random label swaps; these trees are as deep as
+trees get. Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
 reports the median seconds of each, then one more run under ``tracemalloc``
 for the peak traced memory of the pair. ``parse_s`` is the median over the
 same repeats of ``read_trees`` on the instance's ``write_trees`` text. Rows
@@ -24,6 +29,8 @@ import tracemalloc
 
 from mafkit import (
     GenSpec,
+    PhyloTree,
+    SeededRng,
     exact_maaf,
     exact_maf,
     instance,
@@ -50,8 +57,33 @@ def _machine() -> str:
     return f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
 
 
-def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
-    trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
+def _caterpillar(order) -> PhyloTree:
+    nested = order[0]
+    for lab in order[1:]:
+        nested = (nested, lab)
+    return PhyloTree.from_nested(nested)
+
+
+def _caterpillars(n: int, k: int, swaps: int, seed: int) -> list:
+    """The caterpillar on t1..tn, then k - 1 copies of it, copy j with
+    ``swaps`` random label swaps drawn from stream j of ``seed``."""
+    labels = [f"t{i}" for i in range(1, n + 1)]
+    trees = [_caterpillar(labels)]
+    for j in range(1, k):
+        rng = SeededRng(seed, stream=j)
+        order = list(labels)
+        for _ in range(swaps):
+            a, b = rng.below(n), rng.below(n)
+            order[a], order[b] = order[b], order[a]
+        trees.append(_caterpillar(order))
+    return trees
+
+
+def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
+    if shape == "caterpillar":
+        trees = _caterpillars(n, k, moves, seed)
+    else:
+        trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
     text = write_trees(trees)
     maf_s, maaf_s, parse_s, exact_s = [], [], [], []
     for _ in range(repeats):
@@ -78,6 +110,7 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     row = {
+        "shape": shape,
         "n": n,
         "k": k,
         "moves": moves,
@@ -98,6 +131,7 @@ def _row(n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--shape", choices=["gen", "caterpillar"], default="gen")
     parser.add_argument("--sizes", type=int, nargs="+", default=[25, 50, 100, 200])
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--moves", type=int, default=4)
@@ -112,7 +146,7 @@ def main():
         f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7} {'exact_s':>8}"
     )
     for n in args.sizes:
-        row = _row(n, args.k, args.moves, args.seed, args.repeats)
+        row = _row(args.shape, n, args.k, args.moves, args.seed, args.repeats)
         rows.append(row)
         print(
             f"{n:>6} {args.k:>3} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "

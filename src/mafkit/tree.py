@@ -14,12 +14,12 @@ Two primitives serve the rest of the package. ``below(t, v, u)`` is the one
 ancestry test: v is at or below u iff ``u <= v < u + size(u)``. ``fold``
 is the one bottom-up sweep: it computes a value per node from leaf values
 and a join, treating cut edges and empty subtrees as absent and passing a
-lone present child straight up (degree-2 suppression); restriction, cutting
-and the LCA map go through it. Three sweeps stay plain loops because they
-are hot and a callback per node measurably slows them:
-``restricted_canonical`` (the triple phase's cleanliness test; the exact
-search compares cluster masks instead), ``partition_forms`` (canonical
-forms, and the agreement check for all components of a forest at once) and
+lone present child straight up (degree-2 suppression); restriction and
+cutting go through it. Three sweeps stay plain loops because they are hot
+and a callback per node measurably slows them: ``lca_map`` (each
+component's map into an input tree, from which the triple phase reads both
+cleanliness and conflicts), ``partition_forms`` (canonical forms, and the
+agreement check for all components of a forest at once) and
 ``gen._grafted_nested`` (the SPR regraft behind every generated instance).
 """
 
@@ -216,8 +216,34 @@ def _lca2(t: PhyloTree, u: int, v: int) -> int:
 
 def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     """m[v] = the node of ``t`` that is the LCA of the taxa below ``comp``
-    node v, for every v; a leaf maps to its own leaf in ``t``."""
-    return fold(comp, t.label_node.__getitem__, lambda a, b: _lca2(t, a, b))
+    node v, for every v; a leaf maps to its own leaf in ``t``.
+
+    A plain loop with ``_lca2``'s walk inlined, not ``fold``: it runs once
+    per new component and input tree in the triple phase, and a callback
+    per node made it about twice as slow.
+    """
+    node = t.label_node
+    d = t.depths
+    par = t.parent
+    children = comp.children
+    labels = comp.labels
+    m = [0] * comp.n_nodes
+    for v in range(comp.n_nodes - 1, -1, -1):
+        ks = children[v]
+        if not ks:
+            m[v] = node[labels[v]]
+            continue
+        a = m[ks[0]]
+        b = m[ks[1]]
+        while d[a] > d[b]:
+            a = par[a]
+        while d[b] > d[a]:
+            b = par[b]
+        while a != b:
+            a = par[a]
+            b = par[b]
+        m[v] = a
+    return m
 
 
 # ── bottom-up rewrites ────────────────────────────────────────────────
@@ -267,9 +293,12 @@ def restricted_nested(t: PhyloTree, taxa):
 def restricted_canonical(t: PhyloTree, taxa) -> str:
     """Canonical form of restrict(t, taxa) without building the tree.
 
-    A plain loop, not ``fold``: it runs once per new component and input
-    tree in the triple phase, and a callback per node made it 1.3-1.5x
-    slower. A node's children are released once its form is built, so a
+    No longer on any hot path: the triple phase reads cleanliness off the
+    component's ``lca_map`` (``triples._realized``), which costs
+    O(|component|) where this sweep costs O(|t|), and the exact search
+    compares cluster masks. It stays as the reference the tests compare
+    both against, and for the benchmark's ``tree.restricted_canonical``
+    span. A node's children are released once its form is built, so a
     caterpillar keeps O(n) characters alive instead of O(n * depth).
     """
     keep = taxa if isinstance(taxa, frozenset) else frozenset(taxa)

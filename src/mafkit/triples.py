@@ -19,6 +19,18 @@ component node v. Every pair split by v meets at or below m(v), and some
 such pair meets exactly there, so a triple a,b|c with a, b split by v and c
 outside L(v) conflicts iff some such c lies below m(v). That decides each
 anchor without enumerating triples; the only state is m, linear in n.
+
+The same map decides whether a component holds any conflict at all. The
+component is realized identically in t_i (isomorphic to t_i restricted to
+its taxa) iff no internal node v has m(v) equal to m of either child. If
+none does, m(v) = lca(m(left), m(right)) lies strictly above both, so the
+two children map into different child subtrees of m(v): the component
+embeds topologically in t_i restricted to its L taxa, branching preserved.
+Its 2L - 2 edges then map to edge-disjoint, non-empty paths in a tree that
+has only 2L - 2 edges, so every path is one edge and the trees are
+isomorphic. Conversely, distinct clusters of one tree have distinct LCAs,
+so an isomorphic restriction never maps a node and its child to one node.
+The test is O(|component|), where restricting t_i costs O(|t_i|).
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .forest import Forest
-from .tree import PhyloTree, _lca2, below, lca_map, restricted_canonical
+from .tree import PhyloTree, _lca2, below, lca_map
 
 
 @dataclass(frozen=True)
@@ -83,12 +95,14 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
     """A minimal incompatible triple of ``f`` with respect to ``t_i``, or
     None when every component is realized identically in ``t_i``.
 
-    Components whose restriction into ``t_i`` is isomorphic to them hold no
-    incompatible triple and are skipped wholesale. Within a conflicting
-    component the search walks candidate anchors deepest-first, which
-    guarantees minimality; remaining ties break lexicographically on taxon
-    names so runs are reproducible. Nothing is tabulated per tree: memory
-    stays linear in the size of the largest component.
+    Each component's ``lca_map`` m into ``t_i`` is built once. Components
+    that ``_realized`` finds isomorphic to their restriction into ``t_i``
+    hold no incompatible triple and are skipped wholesale; the others hand
+    m to ``_deepest_conflict``. Within a conflicting component the search
+    walks candidate anchors deepest-first, which guarantees minimality;
+    remaining ties break lexicographically on taxon names so runs are
+    reproducible. Nothing is tabulated per tree: memory stays linear in the
+    size of the largest component.
 
     ``memo``, when given, maps components (by identity) to what an earlier
     call found for them in ``t_i``: None when clean, else their minimal
@@ -103,18 +117,27 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
         if comp.n_leaves < 3:
             continue
         if comp not in memo:
-            memo[comp] = None
-            if restricted_canonical(t_i, comp.leaf_labels) != comp.canonical():
-                memo[comp] = _deepest_conflict(comp, ci, t_i)
+            m = lca_map(comp, t_i)
+            memo[comp] = None if _realized(comp, m) else _deepest_conflict(comp, ci, t_i, m)
         hit = memo[comp]
         if hit is not None and (best is None or hit[0].taxa_key() < best.taxa_key()):
             best = replace(hit[0], host=ci)
     return best
 
 
-def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> tuple:
+def _realized(comp: PhyloTree, m: list) -> bool:
+    """True iff ``comp`` is isomorphic to ``t_i`` restricted to its taxa,
+    given its ``lca_map`` m into ``t_i``: no internal node shares its image
+    with a child (module docstring)."""
+    for v, ks in enumerate(comp.children):
+        if ks and (m[v] == m[ks[0]] or m[v] == m[ks[1]]):
+            return False
+    return True
+
+
+def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list) -> tuple:
     """Minimal incompatible triple of a component known to conflict, with
-    the component's ``lca_map`` into ``t_i`` that found it.
+    m, the component's ``lca_map`` into ``t_i``, that found it.
 
     Anchors (outer, cherry, other) — a cherry node inside one child of outer,
     other the other child — are scanned in decreasing (depth(outer),
@@ -130,7 +153,6 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree) -> tuple:
     children = comp.children
     sizes = comp.sizes
     t_sizes = t_i.sizes
-    m = lca_map(comp, t_i)
 
     def taxa(u: int) -> list:
         return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]

@@ -28,7 +28,7 @@ from mafkit import (
     serialize,
     steiner_nodes,
 )
-from mafkit import maf, tree
+from mafkit import maf, tree, triples
 from mafkit.gen import spr_move
 
 
@@ -97,28 +97,38 @@ def test_maf_memory_stays_linear(shape, n, moves):
 
 def test_component_checks_restrict_each_component_once(monkeypatch):
     """Counts, not times: on many components (m = 234 here, k = 8) the
-    agreement check makes no ``restricted_canonical`` call at all, and the
-    triple phase restricts each component into each tree at most once. A
-    leaf set names one component, since components only ever split."""
+    triple phase maps each component into each tree at most once (one
+    ``lca_map`` through ``mafkit.triples`` per leaf set and input tree; a
+    leaf set names one component, since components only ever split), and
+    neither ``maf_approx`` nor the agreement check makes any
+    ``restricted_canonical`` call: cleanliness is read off that map, where
+    restricting each new component into each tree made 283 calls here."""
     trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
-    calls = Counter()
-    real = tree.restricted_canonical
+    maps = Counter()
+    restricted = []
+    real_map = triples.lca_map
+    real_restricted = tree.restricted_canonical
 
-    def counting(t, taxa):
-        calls[id(t), frozenset(taxa)] += 1
-        return real(t, taxa)
+    def counting_map(comp, t):
+        maps[comp.leaf_labels, id(t)] += 1
+        return real_map(comp, t)
 
+    def counting_restricted(t, taxa):
+        restricted.append(1)
+        return real_restricted(t, taxa)
+
+    monkeypatch.setattr(triples, "lca_map", counting_map)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "mafkit" and hasattr(module, "restricted_canonical"):
-            monkeypatch.setattr(module, "restricted_canonical", counting)
+            monkeypatch.setattr(module, "restricted_canonical", counting_restricted)
     forest, _ = maf_approx(trees)
     assert forest.size > 200
     inputs = {id(t) for t in trees}
-    on_inputs = [n for (t, _), n in calls.items() if t in inputs]
-    assert on_inputs and max(on_inputs) == 1, Counter(on_inputs)
-    calls.clear()
+    assert {t for _, t in maps} <= inputs
+    assert maps and max(maps.values()) == 1, Counter(maps.values())
+    assert not restricted, f"maf_approx: {len(restricted)} restricted_canonical calls"
     assert is_agreement_forest(forest, trees)
-    assert not calls, f"{sum(calls.values())} restricted_canonical calls"
+    assert not restricted, f"{len(restricted)} restricted_canonical calls"
 
 
 def test_exact_search_restricts_nothing(monkeypatch):

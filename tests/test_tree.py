@@ -1,11 +1,27 @@
-"""Tree machinery: ancestry queries and restriction."""
+"""Tree machinery: ancestry queries, restriction and the LCA map."""
+
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import lca, parse, serialize
+from mafkit import (
+    Forest,
+    GenSpec,
+    PhyloTree,
+    SeededRng,
+    cut_edges,
+    instance,
+    lca,
+    maaf_approx,
+    maf_approx,
+    parse,
+    serialize,
+)
 from mafkit.gen import random_tree
-from mafkit.tree import below, restrict
+from mafkit.tree import below, lca_map, restrict
+
+import reference_tree
 
 
 @pytest.fixture
@@ -73,3 +89,48 @@ def test_below_matches_parent_walk(n, seed):
     for u in range(t.n_nodes):
         for v in range(t.n_nodes):
             assert below(t, v, u) == walk_is_ancestor(u, v)
+
+
+def _caterpillar(order):
+    nested = order[0]
+    for lab in order[1:]:
+        nested = (nested, lab)
+    return PhyloTree.from_nested(nested)
+
+
+def test_lca_map_matches_fold_reference_on_random_trees_and_caterpillars():
+    """Every pair of random trees, random caterpillars and restrictions of
+    one into the other for n <= 64: the loop's map equals the fold's."""
+    for n in range(1, 65):
+        rng = SeededRng(n, stream=17)
+        labels = [f"t{i}" for i in range(1, n + 1)]
+        shapes = [
+            random_tree(n, seed=n),
+            random_tree(n, seed=n, stream=1),
+            _caterpillar(labels),
+            _caterpillar(random.Random(n).sample(labels, n)),
+        ]
+        for comp in shapes:
+            keep = [x for x in labels if rng.below(3)] or labels[:1]
+            for t in shapes:
+                for c in (comp, restrict(comp, keep)):
+                    assert lca_map(c, t) == reference_tree.lca_map(c, t)
+
+
+def test_lca_map_matches_fold_reference_on_every_component_of_a_run():
+    """Every component of every forest that a ``maf_approx`` + ``maaf_approx``
+    run passes through, replayed from its cut logs, mapped into every input
+    tree."""
+    for spec in (GenSpec(n=120, k=4, moves=12, seed=3), GenSpec(n=60, k=6, moves=20, seed=11)):
+        trees = instance(spec)
+        forest, cuts = maf_approx(trees)
+        _, cycle_cuts = maaf_approx(forest, trees)
+        f = Forest.from_tree(trees[0])
+        comps = {id(c): c for c in f.components}
+        for entry in cuts.entries + cycle_cuts.entries:
+            f = cut_edges(f, entry.edges)
+            comps.update((id(c), c) for c in f.components)
+        assert len(comps) > 50
+        for comp in comps.values():
+            for t in trees:
+                assert lca_map(comp, t) == reference_tree.lca_map(comp, t)

@@ -9,6 +9,7 @@ from mafkit import (
     Forest,
     GenSpec,
     PhyloTree,
+    SeededRng,
     cut_edges,
     find_incompatible,
     instance,
@@ -16,7 +17,9 @@ from mafkit import (
     maf_approx,
     parse,
 )
-from mafkit.tree import below
+from mafkit.gen import spr_move
+from mafkit.tree import below, lca_map, restrict, restricted_canonical
+from mafkit.triples import _realized
 
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
@@ -214,3 +217,59 @@ def test_triple_of_matches_reference(n, seed):
     resolver = ref.pair_depths(t)
     for trio in itertools.combinations(sorted(t.leaf_labels), 3):
         assert triple_of(t, trio).c == resolver.outlier(*trio)
+
+
+def _restricted_pairs(trees, rng, count):
+    """``count`` (component, tree) pairs: the first tree restricted to a
+    random leaf subset, against each other tree in turn."""
+    labels = sorted(trees[0].leaf_labels)
+    for j in range(count):
+        keep = [x for x in labels if rng.below(4)] or [labels[rng.below(len(labels))]]
+        yield restrict(trees[0], keep), trees[1 + j % (len(trees) - 1)]
+
+
+def _assert_realized_iff_same_restriction(pairs):
+    verdicts = {True: 0, False: 0}
+    for comp, t in pairs:
+        want = restricted_canonical(t, comp.leaf_labels) == comp.canonical()
+        assert _realized(comp, lca_map(comp, t)) == want, (comp.canonical(), t.canonical())
+        verdicts[want] += 1
+    return verdicts
+
+
+def test_realized_matches_restricted_canonical_on_random_subsets():
+    """The LCA-map cleanliness rule against the restriction it replaced:
+    5000 seeded (component, tree) pairs on n = 2-14 taxa, components cut
+    out of the first tree by random leaf subsets, against trees 0-3 SPR
+    moves away (so clean and conflicting pairs both come up often)."""
+    pairs = []
+    for seed in range(1000):
+        rng = SeededRng(seed, stream=5)
+        n = 2 + rng.below(13)
+        trees = instance(GenSpec(n=n, k=3, moves=rng.below(4), seed=seed))
+        pairs.extend(_restricted_pairs(trees, rng, 5))
+    verdicts = _assert_realized_iff_same_restriction(pairs)
+    assert sum(verdicts.values()) == 5000
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+def test_realized_matches_restricted_canonical_on_caterpillars():
+    """Deep components: a caterpillar on 3-40 taxa against caterpillars with
+    1-4 label swaps, half of them then moved by one SPR, restricted to
+    random leaf subsets."""
+    pairs = []
+    for idx in range(200):
+        rng = SeededRng(77, stream=idx)
+        labels = [f"t{i}" for i in range(1, 4 + rng.below(38))]
+        trees = [_caterpillar(labels)]
+        for j in range(2):
+            order = list(labels)
+            for _ in range(1 + rng.below(4)):
+                a, b = rng.below(len(order)), rng.below(len(order))
+                order[a], order[b] = order[b], order[a]
+            t = _caterpillar(order)
+            trees.append(spr_move(t, seed=idx, stream=j) if rng.below(2) else t)
+        pairs.extend(_restricted_pairs(trees, rng, 4))
+        pairs.extend((t, u) for t in trees for u in trees)
+    verdicts = _assert_realized_iff_same_restriction(pairs)
+    assert min(verdicts.values()) > 300, verdicts
