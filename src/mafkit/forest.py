@@ -119,10 +119,21 @@ def is_agreement_forest(f: Forest, trees) -> bool:
     to that component, and the minimal connecting subtrees of the components
     are pairwise node-disjoint within every input tree. The input trees must
     all carry exactly the forest's taxon set and the components must
-    partition it; violations raise ValueError.
+    partition it; violations raise ValueError. Decided by
+    ``agreement_roots``, one sweep per tree for all components.
+    """
+    return agreement_roots(f, trees) is not None
+
+
+def agreement_roots(f: Forest, trees) -> list | None:
+    """For each component, its mapped roots: a tuple of the lca of its taxa
+    in each input tree, as ``maaf.mapped_roots`` gives them. None when ``f``
+    is not an agreement forest of the trees; raises ValueError as
+    ``is_agreement_forest`` does.
 
     One ``partition_forms`` sweep per tree decides both conditions for all
-    components at once. Call a component open at a node when some but not
+    components at once and finds the roots on the way, since each block
+    closes at its lca. Call a component open at a node when some but not
     all of its taxa lie below it; its embedding then holds the node's parent.
     So a node whose two children carry different open components lies on
     both embeddings, and the sweep stops there. Conversely, two embeddings
@@ -140,4 +151,10 @@ def is_agreement_forest(f: Forest, trees) -> bool:
     block_of = {lab: ci for ci, comp in enumerate(comps) for lab in comp.label_node}
     sizes = [comp.n_leaves for comp in comps]
     forms = [comp.canonical() for comp in comps]
-    return all(partition_forms(t, block_of, sizes) == forms for t in trees)
+    per_tree = []
+    for t in trees:
+        swept = partition_forms(t, block_of, sizes)
+        if swept is None or swept[0] != forms:
+            return None
+        per_tree.append(swept[1])
+    return list(zip(*per_tree))

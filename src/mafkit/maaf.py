@@ -13,11 +13,11 @@ cut at each of the two roots (splitting both components at their top), and
 the four pieces go back in the queue. Splitting a component at its root
 keeps the forest an agreement forest: the two child clades embed into
 disjoint regions strictly below the component's mapped root in every tree.
-Longer cycles can in principle survive the pairwise loop, so the digraph is
-rebuilt afterwards and any remaining cycle is broken with the same two-edge
-rule applied to an adjacent pair on it, after which the queue resumes. Each
-round removes at least two edges, so the whole process is bounded by the
-size of the first tree; a cut that removes none is an error.
+Longer cycles can in principle survive the pairwise loop, so acyclicity is
+checked again afterwards and any remaining cycle is broken with the same
+two-edge rule applied to an adjacent pair on it, after which the queue
+resumes. Each round removes at least two edges, so the whole process is
+bounded by the size of the first tree; a cut that removes none is an error.
 
 Either child edge of a root detaches the same two clades, so every cycle cut
 names the left child, node 1 under preorder ids. On an agreement forest that
@@ -43,8 +43,18 @@ tree, so every other settled y gives no witness; trying the candidates in
 settling order therefore hits the same y first as trying every settled
 component in order did. ``build_gf`` finds the nested pairs of one tree by
 sorting the mapped roots by preorder id and keeping a stack of those whose
-subtree holds the current one. Each component's mapped roots are found once,
-when it enters the queue, and the final digraph is built from those.
+subtree holds the current one.
+
+Each component's mapped roots are found once. Those of the forest handed in
+come from its agreement check, whose sweep closes each component at its
+root (``agreement_roots``); only the four pieces of each cycle cut go
+through ``mapped_roots``. Acyclicity is decided on entry and after each
+round without the transitive digraph (``_acyclic``): the same stack sweep
+links each mapped root to its nearest mapped strict ancestor only, and those
+at most k * m cover edges have the same reachability, so Kahn's algorithm
+peels every component iff the digraph is acyclic. A forest acyclic on entry
+is returned at once. The digraph and ``find_cycle`` run only on a cycle that
+survived the pairwise loop, to pick it and its witness tree.
 """
 
 from __future__ import annotations
@@ -53,9 +63,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
-from .forest import Forest, is_agreement_forest
+from .forest import Forest, agreement_roots
 from .maf import CutEntry, CutSet, _cut, maf_approx
-from .tree import PhyloTree, below, lca
+from .tree import PhyloTree, lca
 
 
 @dataclass
@@ -73,7 +83,8 @@ class ForestDigraph:
 def mapped_roots(comp: PhyloTree, trees) -> list:
     """For each input tree, the node its Steiner embedding of ``comp`` hangs
     from: the ancestor of the component's taxa. A singleton maps to its leaf
-    and therefore never dominates anything."""
+    and therefore never dominates anything. For a whole agreement forest,
+    ``forest.agreement_roots`` finds the same nodes in one sweep per tree."""
     return [lca(t, comp.label_node) for t in trees]
 
 
@@ -84,11 +95,16 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     plus one step per edge; ancestor tests run on preorder id ranges. With
     ``validate`` (the default), raises ValueError when ``f`` is not an
     agreement forest of the trees — mapped roots of distinct components are
-    only guaranteed distinct in that case.
+    only guaranteed distinct in that case — and takes the mapped roots from
+    that check's sweep.
     """
-    if validate and not is_agreement_forest(f, trees):
-        raise ValueError("not an agreement forest of the given trees")
-    return _digraph([mapped_roots(comp, trees) for comp in f.components], trees)
+    if validate:
+        roots = agreement_roots(f, trees)
+        if roots is None:
+            raise ValueError("not an agreement forest of the given trees")
+    else:
+        roots = [mapped_roots(comp, trees) for comp in f.components]
+    return _digraph(roots, trees)
 
 
 def _digraph(roots, trees) -> ForestDigraph:
@@ -96,17 +112,52 @@ def _digraph(roots, trees) -> ForestDigraph:
     m = len(roots)
     edges: dict = {}
     for ti, t in enumerate(trees):
+        size = t.sizes
         # in preorder every ancestor comes first; the stack holds the
-        # components whose mapped root is at or above the current one
+        # components whose mapped root is at or above the current one, with
+        # the end of that root's id range
         stack: list = []
         for r, j in sorted((roots[j][ti], j) for j in range(m)):
-            while stack and not below(t, r, stack[-1][0]):
+            while stack and r >= stack[-1][2]:
                 stack.pop()
-            for ri, i in stack:
+            for ri, i, _ in stack:
                 if ri != r:
                     edges.setdefault((i, j), []).append(ti)
-            stack.append((r, j))
+            stack.append((r, j, r + size[r]))
     return ForestDigraph(m, {k: tuple(v) for k, v in sorted(edges.items())})
+
+
+def _acyclic(roots, trees) -> bool:
+    """``is_acyclic(_digraph(roots, trees))`` without the transitive edges.
+
+    The mapped roots must be distinct in each tree, as an agreement forest's
+    are. In each tree, every component gets one cover edge from the
+    component whose mapped root is its nearest strict ancestor among the
+    mapped roots. An edge of the digraph joins a root to one strictly below
+    it, which is a path of cover edges in that tree, so both digraphs have
+    the same reachability and one has a cycle iff the other does. Kahn's
+    algorithm then peels the at most k * m cover edges.
+    """
+    m = len(roots)
+    succ: list = [[] for _ in range(m)]
+    indeg = [0] * m
+    for ti, t in enumerate(trees):
+        size = t.sizes
+        stack: list = []  # (end of the root's id range, component)
+        for r, j in sorted((roots[j][ti], j) for j in range(m)):
+            while stack and r >= stack[-1][0]:
+                stack.pop()
+            if stack:
+                succ[stack[-1][1]].append(j)
+                indeg[j] += 1
+            stack.append((r + size[r], j))
+    peeled = [j for j in range(m) if not indeg[j]]
+    for i in peeled:  # grows while it is read
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                peeled.append(j)
+    return len(peeled) == m
 
 
 def is_acyclic(g: ForestDigraph) -> bool:
@@ -148,9 +199,10 @@ def _two_cycle_witness(roots_x, roots_y, trees):
         rx, ry = roots_x[ti], roots_y[ti]
         if rx == ry:
             continue
-        if forward is None and below(t, ry, rx):
+        size = t.sizes
+        if forward is None and rx < ry < rx + size[rx]:
             forward = ti
-        backward = backward or below(t, rx, ry)
+        backward = backward or ry < rx < ry + size[ry]
     return forward if backward else None
 
 
@@ -163,14 +215,15 @@ def maaf_approx(f: Forest, trees) -> tuple:
     pieces after the first's. Raises ValueError unless ``f`` is an agreement
     forest of the trees.
     """
-    if not is_agreement_forest(f, trees):
+    found = agreement_roots(f, trees)
+    if found is None:
         raise ValueError("not an agreement forest of the given trees")
 
     work = list(f.components)
     cuts = CutSet()
-    pending = deque(work)
     # keyed by component object (identity); trees are immutable values
-    roots: dict = {c: mapped_roots(c, trees) for c in work}
+    roots: dict = dict(zip(work, found))
+    pending = deque(work)
     # settled components: their rank in settling order, and per input tree
     # the one settled at each mapped root
     rank: dict = {}
@@ -215,7 +268,21 @@ def maaf_approx(f: Forest, trees) -> tuple:
             CutEntry("cycle", t_xy, edges, f"cycle between components {xi} and {yi}")
         )
 
-    while True:
+    while not _acyclic([roots[c] for c in work], trees):
+        if not pending:
+            # every root was settled, so a cycle longer than 2 survived the
+            # pairwise loop: break one adjacent pair on it with the same
+            # two-edge rule and resume
+            g = _digraph([roots[c] for c in work], trees)
+            i, j = find_cycle(g)[:2]
+            t_xy = g.edges[(i, j)][0]
+            del g  # the largest object of a round; keep it out of the next
+            x, y = work[i], work[j]
+            for c in work:
+                if c is not x and c is not y:
+                    settle(c)
+            split_pair(x, y, t_xy)
+
         while pending:
             x = pending.popleft()
             for y in dominating(x):
@@ -226,24 +293,12 @@ def maaf_approx(f: Forest, trees) -> tuple:
                     break
             else:
                 settle(x)
-
-        # every component is settled now; the index is rebuilt below if a
-        # long cycle needs the loop again
+        # every root is settled now; the index is rebuilt above if a long
+        # cycle needs the loop again, and meanwhile it is not kept alive
         rank.clear()
         for settled_at in by_root:
             settled_at.clear()
-        g = _digraph([roots[c] for c in work], trees)
-        cycle = find_cycle(g)
-        if cycle is None:
-            return Forest(tuple(work), f.origin_labels), cuts
-        # a cycle longer than 2 survived the pairwise loop: break one
-        # adjacent pair on it with the same two-edge rule and resume
-        i, j = cycle[0], cycle[1]
-        x, y = work[i], work[j]
-        for c in work:
-            if c is not x and c is not y:
-                settle(c)
-        split_pair(x, y, g.edges[(i, j)][0])
+    return Forest(tuple(work), f.origin_labels), cuts
 
 
 def hybridization_upper_bound(trees) -> int:

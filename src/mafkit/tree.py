@@ -19,7 +19,7 @@ cutting go through it. Three sweeps stay plain loops because they are hot
 and a callback per node measurably slows them: ``lca_map`` (each
 component's map into an input tree, from which the triple phase reads both
 cleanliness and conflicts), ``partition_forms`` (canonical forms, and the
-agreement check for all components of a forest at once) and
+agreement check and mapped roots for all components of a forest at once) and
 ``gen._grafted_nested`` (the SPR regraft behind every generated instance).
 """
 
@@ -169,7 +169,7 @@ class PhyloTree:
         if self._canonical is None:
             self._canonical = partition_forms(
                 self, dict.fromkeys(self.label_node, 0), (self.n_leaves,)
-            )[0]
+            )[0][0]
         return self._canonical
 
     def __repr__(self):
@@ -326,22 +326,24 @@ def restricted_canonical(t: PhyloTree, taxa) -> str:
     return red[t.root]
 
 
-def partition_forms(t: PhyloTree, block_of: dict, sizes) -> list | None:
-    """Restricted canonical form of every block of a partition of ``t``'s
-    taxa, in one bottom-up sweep; None when two blocks' embeddings share a
-    node.
+def partition_forms(t: PhyloTree, block_of: dict, sizes) -> tuple | None:
+    """Restricted canonical form and lca of every block of a partition of
+    ``t``'s taxa, in one bottom-up sweep: ``(forms, tops)`` with both lists
+    indexed by block, or None when two blocks' embeddings share a node.
 
     ``block_of`` maps each taxon to its block index and ``sizes[b]`` is the
     number of taxa in block b. A node carries the one block that is *open*
     there (some but not all of its taxa below), with that block's count and
     form so far; the block *closes* at its lca, where its count reaches its
-    size. Two children carrying different open blocks put their parent on
+    size, and ``tops[b]`` is that node (a singleton block closes at its
+    leaf). Two children carrying different open blocks put their parent on
     both embeddings. Forms are built as in ``restricted_canonical`` and a
     node's children are released once its own carry is set.
     """
     children = t.children
     labels = t.labels
     forms = [None] * len(sizes)
+    tops = [0] * len(sizes)
     carry = [None] * t.n_nodes  # (block, taxa below, form) of the open block
     for u in range(t.n_nodes - 1, -1, -1):
         ks = children[u]
@@ -350,6 +352,7 @@ def partition_forms(t: PhyloTree, block_of: dict, sizes) -> list | None:
             b = block_of[lab]
             if sizes[b] == 1:
                 forms[b] = lab
+                tops[b] = u
             else:
                 carry[u] = (b, 1, lab)
             continue
@@ -371,9 +374,10 @@ def partition_forms(t: PhyloTree, block_of: dict, sizes) -> list | None:
             count = x[1] + y[1]
             if count == sizes[x[0]]:
                 forms[x[0]] = form
+                tops[x[0]] = u
             else:
                 carry[u] = (x[0], count, form)
-    return forms
+    return forms, tops
 
 
 def cut_pieces(t: PhyloTree, cut_children) -> list:

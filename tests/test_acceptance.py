@@ -31,15 +31,7 @@ from mafkit.cli import main
 from mafkit.gen import random_tree
 from mafkit.tree import _lca2
 
-from helpers import all_topologies, forest_canon, forest_newicks
-
-
-def _derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):
-    rng = SeededRng(master_seed, stream=idx)
-    n = n_lo + rng.below(n_hi - n_lo + 1)
-    k = 2 + rng.below(k_hi - 1)
-    moves = rng.below(moves_hi + 1)
-    return GenSpec(n=n, k=k, moves=moves, seed=master_seed * 1_000_003 + idx)
+from helpers import all_topologies, derived_params, forest_canon, forest_newicks
 
 
 def test_c1_validity_500_random_instances():
@@ -47,7 +39,7 @@ def test_c1_validity_500_random_instances():
     acyclic. 500 instances, n in [4,12], k in {2,3,4}, moves in [0,4]."""
     started = time.perf_counter()
     for idx in range(500):
-        spec = _derived_params(101, idx, 4, 12, 4, 4)
+        spec = derived_params(101, idx, 4, 12, 4, 4)
         trees = instance(spec)
         forest, _ = maf_approx(trees)
         assert is_agreement_forest(forest, trees), spec
@@ -83,7 +75,7 @@ def test_c1_cut_logs_replay():
     (3 for a triple, 2 for an overlap or a cycle) and lowers the edge count."""
     phases = Counter()
     for idx in range(500):
-        spec = _derived_params(101, idx, 4, 12, 4, 4)
+        spec = derived_params(101, idx, 4, 12, 4, 4)
         trees = instance(spec)
         forest, cuts = maf_approx(trees)
         acyclic_forest, cycle_cuts = maaf_approx(forest, trees)
@@ -98,8 +90,8 @@ def test_c1_cut_logs_replay():
 
 # 200 instances with n in [4,8] plus 40 with n in [9,12]; k in {2,3},
 # moves in [0,3]
-RATIO_SPECS = [_derived_params(202, idx, 4, 8, 3, 3) for idx in range(200)] + [
-    _derived_params(303, idx, 9, 12, 3, 3) for idx in range(40)
+RATIO_SPECS = [derived_params(202, idx, 4, 8, 3, 3) for idx in range(200)] + [
+    derived_params(303, idx, 9, 12, 3, 3) for idx in range(40)
 ]
 
 

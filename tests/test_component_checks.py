@@ -9,7 +9,10 @@ every pair of components. The old code is kept verbatim in
 forests built to have many cycles, and (the agreement test) on random
 partitions that are mostly not agreement forests. ``maf_approx`` itself,
 one pass per phase with Steiner sets kept across a tree's overlap cuts, must
-match the old loop that swept each phase until nothing changed.
+match the old loop that swept each phase until nothing changed. The mapped
+roots read off the agreement sweep must equal ``mapped_roots``, and the
+cover-edge acyclicity test must agree with ``find_cycle`` on the transitive
+digraph.
 """
 
 from mafkit import (
@@ -26,14 +29,14 @@ from mafkit import (
     maf_approx,
 )
 from mafkit import maaf, maf
-from mafkit.forest import steiner_nodes
+from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import _grafted_nested, random_tree, spr_move
 from mafkit.tree import partition_forms, restrict, restricted_canonical, restricted_nested
 
 import reference_forest
 import reference_maaf
 import reference_maf
-from helpers import forest_newicks
+from helpers import derived_params, forest_newicks, three_cycle_fixture
 
 
 def _check_forest(f, trees, seen):
@@ -182,6 +185,31 @@ def _tangled(idx):
     return f, trees
 
 
+def test_acyclic_matches_transitive_digraph(monkeypatch):
+    """``maaf._acyclic`` decides on cover edges what ``find_cycle`` decides
+    on the transitive digraph. Checked on every state ``maaf_approx`` asks
+    about: each forest on entry and after each round, on the 200 tangled
+    forests, the criterion-1 MAF forests and the three-cycle fixture."""
+    seen = {True: 0, False: 0}
+    acyclic = maaf._acyclic
+
+    def checking(roots, trees):
+        got = acyclic(roots, trees)
+        assert got == maaf.is_acyclic(maaf._digraph(roots, trees))
+        seen[got] += 1
+        return got
+
+    monkeypatch.setattr(maaf, "_acyclic", checking)
+    cases = [_tangled(idx) for idx in range(200)] + [three_cycle_fixture()]
+    for idx in range(500):
+        trees = instance(derived_params(101, idx, 4, 12, 4, 4))
+        cases.append((maf_approx(trees)[0], trees))
+    for f, trees in cases:
+        maaf_approx(f, trees)
+    print(f"\n_acyclic verdicts: {seen}")
+    assert min(seen.values()) > 0, seen
+
+
 def test_cycle_loop_matches_reference_on_tangled_forests(monkeypatch):
     seen = {"cycle entries": 0, "long cycles": 0}
     find_cycle = maaf.find_cycle
@@ -269,4 +297,42 @@ def test_agreement_check_matches_reference_on_random_forests():
             }[forms, disjoint]
             seen[kind] += 1
     print(f"\nrandom forests checked: {seen}")
+    assert min(seen.values()) > 0, seen
+
+
+def _caterpillar_forests():
+    """Forests on the caterpillar cases: every forest a ``maf_approx`` +
+    ``maaf_approx`` run passes through, and a cut of the first tree at 1-4
+    random edges."""
+    for idx, trees in enumerate(_caterpillar_cases()):
+        forest, cuts = maf_approx(trees)
+        _, cycle_cuts = maaf_approx(forest, trees)
+        f = Forest.from_tree(trees[0])
+        yield f, trees
+        for entry in cuts.entries + cycle_cuts.entries:
+            f = cut_edges(f, entry.edges)
+            yield f, trees
+        rng = SeededRng(919, stream=idx)
+        t = trees[0]
+        edges = {(0, 1 + rng.below(t.n_nodes - 1)) for _ in range(1 + rng.below(4))}
+        yield cut_edges(Forest.from_tree(t), edges), trees
+
+
+def test_agreement_roots_match_mapped_roots():
+    """``agreement_roots`` gives each tree's ``mapped_roots`` of every
+    component of an agreement forest, and None exactly where the reference
+    check rejects the forest."""
+    seen = dict.fromkeys(("random agree", "random other", "caterpillar agree",
+                          "caterpillar other"), 0)
+    cases = [("random", case) for idx in range(400) for case in _random_cases(idx)]
+    cases += [("caterpillar", case) for case in _caterpillar_forests()]
+    for kind, (f, trees) in cases:
+        got = agreement_roots(f, trees)
+        agrees = reference_forest.is_agreement_forest(f, trees)
+        assert (got is not None) == agrees
+        if agrees:
+            expected = [maaf.mapped_roots(c, trees) for c in f.components]
+            assert [list(r) for r in got] == expected
+        seen[f"{kind} {'agree' if agrees else 'other'}"] += 1
+    print(f"\nagreement roots checked: {seen}")
     assert min(seen.values()) > 0, seen

@@ -20,7 +20,7 @@ from mafkit.maaf import ForestDigraph, find_cycle
 from mafkit.oracle import exact_hybridization
 
 import reference_maaf
-from helpers import forest_canon
+from helpers import forest_canon, three_cycle_fixture
 
 
 def two_cycle_fixture():
@@ -170,13 +170,7 @@ def test_untouched_pairs_keep_their_relations():
 def test_three_cycle_without_two_cycles_is_broken():
     """Three components each dominating the next in a different tree: no
     pair 2-cycles, so only the post-hoc digraph check can catch it."""
-    ta = parse("((x1,((y1,y2),x2)),(z1,z2));")
-    tb = parse("((y1,((z1,z2),y2)),(x1,x2));")
-    tc = parse("((z1,((x1,x2),z2)),(y1,y2));")
-    trees = [ta, tb, tc]
-    f = Forest.from_components(
-        [parse("(x1,x2);"), parse("(y1,y2);"), parse("(z1,z2);")], ta.leaf_labels
-    )
+    f, trees = three_cycle_fixture()
     g = build_gf(f, trees)
     assert g.edges == {(0, 1): (0,), (1, 2): (1,), (2, 0): (2,)}
     assert not is_acyclic(g)

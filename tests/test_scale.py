@@ -28,7 +28,7 @@ from mafkit import (
     serialize,
     steiner_nodes,
 )
-from mafkit import maf, tree, triples
+from mafkit import maaf, maf, tree, triples
 from mafkit.gen import spr_move
 
 
@@ -153,10 +153,11 @@ def test_exact_search_restricts_nothing(monkeypatch):
 
 def test_embeddings_computed_once(monkeypatch):
     """Counts, on the same instance: ``maf_approx`` asks ``find_overlap`` once
-    per overlap cut plus once per tree to find it clean, builds each Steiner
-    set once per tree, and ``maaf_approx`` maps each component's roots once,
-    final digraph included. Components only ever split, so a leaf set names
-    one component."""
+    per overlap cut plus once per tree to find it clean, and builds each
+    Steiner set once per tree. ``maaf_approx`` takes the roots of the
+    forest it is given from its agreement sweep, so ``mapped_roots`` runs
+    only on the four pieces of each cycle cut, once each. Components only
+    ever split, so a leaf set names one component."""
     trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
     overlap_calls = []
     steiner = Counter()
@@ -185,9 +186,32 @@ def test_embeddings_computed_once(monkeypatch):
     assert cuts.count("overlap") > 0
     assert len(overlap_calls) == cuts.count("overlap") + len(trees) - 1
     assert steiner and max(steiner.values()) == 1, Counter(steiner.values())
+    assert not roots
     _, cycle_cuts = maaf_approx(f, trees)
     assert cycle_cuts.entries
+    assert sum(roots.values()) == 4 * len(cycle_cuts.entries), sum(roots.values())
     assert max(roots.values()) == 1, Counter(roots.values())
+
+
+def test_acyclic_forest_builds_no_digraph(monkeypatch):
+    """A MAF forest (m = 235, k = 8) that is acyclic on entry returns at
+    once: no pairwise loop, no transitive digraph, no cycle search."""
+    trees = instance(GenSpec(n=300, k=8, moves=24, seed=2))
+    f, _ = maf_approx(trees)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_digraph", "find_cycle", "_two_cycle_witness", "mapped_roots"):
+        monkeypatch.setattr(maaf, name, counting(name, getattr(maaf, name)))
+    out, cuts = maaf_approx(f, trees)
+    assert out.components == f.components and not cuts.entries
+    assert not calls, calls
 
 
 @pytest.mark.parametrize("shape", [_random_tree, _caterpillar], ids=["random", "caterpillar"])
