@@ -11,8 +11,9 @@ tree and k - 1 copies, each pushed through ``--moves`` SPR moves.
 each with ``--moves`` seeded random label swaps; these trees are as deep as
 trees get. Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
 reports the median seconds of each, then one more run under ``tracemalloc``
-for the peak traced memory of the pair. ``parse_s`` is the median over the
-same repeats of ``read_trees`` on the instance's ``write_trees`` text. Rows
+for the peak traced memory of the pair. ``gen_s`` is the median over the
+same repeats of building the row's trees (gen or caterpillars), and
+``parse_s`` of ``read_trees`` on the instance's ``write_trees`` text. Rows
 with n at most ``oracle.HARD_TAXON_CAP`` also get ``exact_s``, the median
 over the same repeats of ``exact_maf`` plus ``exact_maaf``.
 ``--json PATH`` also writes the machine, the Python version and every row to
@@ -80,10 +81,14 @@ def _caterpillars(n: int, k: int, swaps: int, seed: int) -> list:
 
 
 def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
-    if shape == "caterpillar":
-        trees = _caterpillars(n, k, moves, seed)
-    else:
-        trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
+    gen_s = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        if shape == "caterpillar":
+            trees = _caterpillars(n, k, moves, seed)
+        else:
+            trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
+        gen_s.append(time.perf_counter() - t0)
     text = write_trees(trees)
     maf_s, maaf_s, parse_s, exact_s = [], [], [], []
     for _ in range(repeats):
@@ -116,6 +121,7 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
         "moves": moves,
         "seed": seed,
         "repeats": repeats,
+        "gen_s": round(statistics.median(gen_s), 4),
         "maf_s": round(statistics.median(maf_s), 4),
         "maaf_s": round(statistics.median(maaf_s), 4),
         "parse_s": round(statistics.median(parse_s), 6),
@@ -142,14 +148,14 @@ def main():
 
     rows = []
     print(
-        f"{'n':>6} {'k':>3} {'maf_s':>8} {'maaf_s':>8} {'parse_s':>8} "
+        f"{'n':>6} {'k':>3} {'gen_s':>8} {'maf_s':>8} {'maaf_s':>8} {'parse_s':>8} "
         f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7} {'exact_s':>8}"
     )
     for n in args.sizes:
         row = _row(args.shape, n, args.k, args.moves, args.seed, args.repeats)
         rows.append(row)
         print(
-            f"{n:>6} {args.k:>3} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
+            f"{n:>6} {args.k:>3} {row['gen_s']:>8.3f} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
             f"{row['parse_s']:>8.4f} {row['peak_mib']:>9.2f} "
             f"{row['cut_edges']:>6} {row['maaf_components']:>7} "
             f"{row.get('exact_s', '-'):>8}"

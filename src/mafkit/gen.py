@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import PhyloTree, cut_pieces
+from .tree import PhyloTree
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -63,53 +63,61 @@ class GenSpec:
             raise ValueError("moves must be non-negative")
 
 
-def _grafted_nested(t: PhyloTree, target: int, graft):
-    """Nested form of ``t`` with ``graft`` attached on the parent edge of
-    ``target`` via a new node (the whole-tree root when target is the root,
-    which plants the graft above the old root).
+def _graft(labels: list, sizes: list, target: int, piece_labels: list, piece_sizes: list) -> None:
+    """Attach a preorder piece on the parent edge of ``target`` via a new
+    internal node, in place (target 0 plants the piece above the root).
 
-    A plain loop, not ``tree.fold``: the graft depends on the node id, which
-    a fold's join does not see, and every SPR move of every generated
-    instance runs this sweep.
+    One root-to-target walk grows each ancestor by the piece plus the new
+    node; the piece goes right after ``target``'s subtree and the new node
+    into ``target``'s slot, so the arrays stay in preorder.
     """
-    out = [None] * t.n_nodes
-    for u in range(t.n_nodes - 1, -1, -1):
-        ks = t.children[u]
-        out[u] = t.labels[u] if not ks else (out[ks[0]], out[ks[1]])
-        if u == target:
-            out[u] = (out[u], graft)
-    return out[t.root]
+    grow = len(piece_labels) + 1
+    u = 0
+    while u != target:
+        sizes[u] += grow
+        u += 1  # left child; step over its subtree if target is right
+        if target >= u + sizes[u]:
+            u += sizes[u]
+    end = target + sizes[target]
+    labels[end:end] = piece_labels
+    sizes[end:end] = piece_sizes
+    labels.insert(target, None)
+    sizes.insert(target, sizes[target] + grow)
 
 
-def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
-    """Random topology over taxa t1..tn by sequential leaf attachment: each
-    new leaf lands on a uniformly chosen spot among all edges plus the
-    position above the root. Deterministic per (seed, stream).
+def _prune(labels: list, sizes: list, p: int) -> tuple:
+    """Detach the subtree of non-root node ``p`` in place and suppress its
+    parent q; return the subtree's (labels, sizes).
 
-    The growing tree is kept as preorder labels (None for internal nodes)
-    plus subtree sizes. Attaching above node ``target`` inserts the new
-    internal node at ``target``'s slot and the new leaf right after
-    ``target``'s subtree, and grows each ancestor by two, so a step costs
-    one root-to-target walk and two list inserts.
+    One root-to-p walk shrinks each ancestor by the subtree plus q. With q
+    deleted the sibling's subtree sits in q's slot, as it does once
+    ``tree.cut_pieces`` suppresses q.
     """
-    if n < 1:
-        raise ValueError("need at least one taxon")
+    s = sizes[p]
+    u = q = 0
+    while u != p:
+        sizes[u] -= s + 1
+        q = u
+        u += 1
+        if p >= u + sizes[u]:
+            u += sizes[u]
+    piece = labels[p : p + s], sizes[p : p + s]
+    del labels[p : p + s], sizes[p : p + s]
+    del labels[q], sizes[q]
+    return piece
+
+
+def _spr_step(labels: list, sizes: list, seed: int, stream: int) -> None:
+    """``spr_move`` on the preorder arrays, in place."""
     rng = SeededRng(seed, stream)
-    labels: list[str | None] = ["t1"]
-    sizes = [1]
-    for i in range(2, n + 1):
-        target = rng.below(len(labels))  # 0 = above the root
-        u = 0
-        while u != target:
-            sizes[u] += 2
-            u += 1  # left child; step over its subtree if target is right
-            if target >= u + sizes[u]:
-                u += sizes[u]
-        end = target + sizes[target]
-        labels.insert(end, f"t{i}")
-        sizes.insert(end, 1)
-        labels.insert(target, None)
-        sizes.insert(target, sizes[target] + 2)
+    piece = _prune(labels, sizes, 1 + rng.below(len(labels) - 1))
+    # a lone leaf left has no edge: the piece joins it under a new root
+    target = 1 + rng.below(len(labels) - 1) if len(labels) > 1 else 0
+    _graft(labels, sizes, target, *piece)
+
+
+def _tree(labels: list, sizes: list) -> PhyloTree:
+    """The tree of preorder labels (None for internal nodes) and sizes."""
     parent = [-1] * len(labels)
     children: list[tuple] = [()] * len(labels)
     for u, lab in enumerate(labels):
@@ -121,6 +129,26 @@ def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     return PhyloTree(parent, children, labels)
 
 
+def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
+    """Random topology over taxa t1..tn by sequential leaf attachment: each
+    new leaf lands on a uniformly chosen spot among all edges plus the
+    position above the root. Deterministic per (seed, stream).
+
+    The growing tree is kept as preorder labels (None for internal nodes)
+    plus subtree sizes, and each leaf is grafted in place, so a step costs
+    one root-to-target walk and a few list splices.
+    """
+    if n < 1:
+        raise ValueError("need at least one taxon")
+    rng = SeededRng(seed, stream)
+    labels: list[str | None] = ["t1"]
+    sizes = [1]
+    for i in range(2, n + 1):
+        target = rng.below(len(labels))  # 0 = above the root
+        _graft(labels, sizes, target, [f"t{i}"], [1])
+    return _tree(labels, sizes)
+
+
 def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
     """One rooted subtree-prune-and-regraft move.
 
@@ -129,32 +157,35 @@ def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
     via a fresh node. Identity moves are allowed. When the remainder
     degenerates to a single leaf the subtree rejoins it under a new root,
     the only spot left. Requires at least three leaves.
+
+    The move runs on ``t``'s preorder labels and sizes, where a left child
+    directly follows its parent as in every tree ``parse`` and
+    ``from_nested`` build: two O(depth) walks and a few list splices.
     """
     if t.n_leaves < 3:
         raise ValueError("SPR needs at least three leaves")
-    rng = SeededRng(seed, stream)
-    prune = 1 + rng.below(t.n_nodes - 1)
-    remainder_nested, pruned_nested = cut_pieces(t, {prune})
-    remainder = PhyloTree.from_nested(remainder_nested)
-    if remainder.n_nodes > 1:
-        target = 1 + rng.below(remainder.n_nodes - 1)
-        nested = _grafted_nested(remainder, target, pruned_nested)
-    else:
-        nested = (remainder_nested, pruned_nested)
-    return PhyloTree.from_nested(nested)
+    labels, sizes = list(t.labels), list(t.sizes)
+    _spr_step(labels, sizes, seed, stream)
+    return _tree(labels, sizes)
 
 
 def instance(spec: GenSpec) -> list:
     """A seeded family of k trees: the first is random, each other is the
     first pushed through ``spec.moves`` successive SPR moves, so its exact
     SPR distance from the first is at most ``spec.moves``. With two taxa
-    there is a single topology and walk steps are skipped."""
+    there is a single topology and walk steps are skipped, and the family
+    holds the first tree k times.
+
+    Each walk runs on a copy of the first tree's preorder arrays, and each
+    derived tree is built once, at the end of its walk.
+    """
     base = random_tree(spec.n, spec.seed, stream=0)
+    if spec.n < 3 or not spec.moves:
+        return [base] * spec.k
     trees = [base]
     for i in range(2, spec.k + 1):
-        t = base
-        if spec.n >= 3:
-            for j in range(spec.moves):
-                t = spr_move(t, spec.seed, stream=i * 65536 + j)
-        trees.append(t)
+        labels, sizes = list(base.labels), list(base.sizes)
+        for j in range(spec.moves):
+            _spr_step(labels, sizes, spec.seed, i * 65536 + j)
+        trees.append(_tree(labels, sizes))
     return trees

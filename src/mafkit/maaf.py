@@ -124,7 +124,8 @@ def _digraph(roots, trees) -> ForestDigraph:
                 if ri != r:
                     edges.setdefault((i, j), []).append(ti)
             stack.append((r, j, r + size[r]))
-    return ForestDigraph(m, {k: tuple(v) for k, v in sorted(edges.items())})
+    # pop as we go, so the witness lists and their tuples never all coexist
+    return ForestDigraph(m, {key: tuple(edges.pop(key)) for key in sorted(edges)})
 
 
 def _acyclic(roots, trees) -> bool:

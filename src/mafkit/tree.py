@@ -15,12 +15,13 @@ ancestry test: v is at or below u iff ``u <= v < u + size(u)``. ``fold``
 is the one bottom-up sweep: it computes a value per node from leaf values
 and a join, treating cut edges and empty subtrees as absent and passing a
 lone present child straight up (degree-2 suppression); restriction and
-cutting go through it. Three sweeps stay plain loops because they are hot
+cutting go through it. Two sweeps stay plain loops because they are hot
 and a callback per node measurably slows them: ``lca_map`` (each
 component's map into an input tree, from which the triple phase reads both
-cleanliness and conflicts), ``partition_forms`` (canonical forms, and the
-agreement check and mapped roots for all components of a forest at once) and
-``gen._grafted_nested`` (the SPR regraft behind every generated instance).
+cleanliness and conflicts) and ``partition_forms`` (canonical forms, and the
+agreement check and mapped roots for all components of a forest at once).
+``gen`` needs no sweep at all: its random growth and SPR walks edit the
+preorder label and size arrays in place and build each tree once.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 forest comparison and a three-cycle forest."""
 
 from mafkit import Forest, GenSpec, PhyloTree, SeededRng, parse, serialize
-from mafkit.gen import _grafted_nested
+
+from reference_gen import _grafted_nested
 
 
 def derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):

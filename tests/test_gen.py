@@ -115,3 +115,48 @@ def test_random_tree_matches_reference():
         assert fast.parent == slow.parent, (n, seed, stream)
         assert fast.children == slow.children, (n, seed, stream)
         assert fast.labels == slow.labels, (n, seed, stream)
+
+
+def _same_tables(fast, slow, case):
+    assert fast.parent == slow.parent, case
+    assert fast.children == slow.children, case
+    assert fast.labels == slow.labels, case
+
+
+def test_instance_and_spr_move_match_reference():
+    """The array walk gives the very node tables of the rebuild-per-move
+    original, for ``spr_move`` step by step and for ``instance`` on every
+    n from 2 to 40 and 0 to 30 moves, k cycling through 2 to 5, over three
+    seeds, and on a few larger rows. Derived tree i does not depend on k,
+    and a shorter walk is a prefix of a longer one, so one 30-step
+    reference walk per tree serves the whole grid. The grid must reach a
+    prune that leaves a lone leaf, the one step that regrafts above the
+    root."""
+    lone_leaf = 0
+    for seed in range(3):
+        for n in range(2, 41):
+            base = random_tree(n, seed)
+            walks = {}
+            for i in range(2, 6):
+                walk = [base] * 31
+                for j in range(30 if n >= 3 else 0):
+                    t, stream = walk[j], i * 65536 + j
+                    prune = 1 + SeededRng(seed, stream).below(t.n_nodes - 1)
+                    lone_leaf += t.sizes[prune] == t.n_nodes - 2
+                    walk[j + 1] = reference_gen.spr_move(t, seed, stream)
+                    moved = spr_move(t, seed, stream)
+                    moved.validate()
+                    _same_tables(moved, walk[j + 1], (n, seed, stream))
+                walks[i] = walk
+            for moves in range(31):
+                k = 2 + (n + moves) % 4
+                got = instance(GenSpec(n, k, moves, seed))
+                want = [base] + [walks[i][moves] for i in range(2, k + 1)]
+                for fast, slow in zip(got, want, strict=True):
+                    _same_tables(fast, slow, (n, k, moves, seed))
+    assert lone_leaf > 0
+    for spec in (GenSpec(300, 3, 80, 1), GenSpec(150, 5, 40, 3)):
+        got = instance(spec)
+        for fast, slow in zip(got, reference_gen.instance(spec), strict=True):
+            fast.validate()
+            _same_tables(fast, slow, spec)

@@ -1,11 +1,13 @@
 """Scale guards: the triple search must stay far from its old cubic time and
 quadratic memory, the checks over a forest's components must not redo a
 per-component restriction or embedding, the exact search must restrict
-nothing, and parsing must stay linear and iterative. The bounds are
-generous, so a pass is not luck and a failure means a return to a
-per-triple scan, a pairwise table, a rescan of every component, a
-canonical string per leaf set or a recursive parser."""
+nothing, parsing must stay linear and iterative, and generation must build
+each tree once. The bounds are generous, so a pass is not luck and a
+failure means a return to a per-triple scan, a pairwise table, a rescan of
+every component, a canonical string per leaf set, a recursive parser or a
+rebuild per SPR move."""
 
+import gc
 import sys
 import time
 import tracemalloc
@@ -29,6 +31,7 @@ from mafkit import (
     steiner_nodes,
 )
 from mafkit import maaf, maf, tree, triples
+from mafkit.forest import agreement_roots
 from mafkit.gen import spr_move
 
 
@@ -230,3 +233,51 @@ def test_parse_20000_leaves_is_linear_and_iterative(shape):
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert (back.parent, back.children, back.labels) == (t.parent, t.children, t.labels)
+
+
+def test_instance_builds_each_tree_once(monkeypatch):
+    """Counts, not times: the SPR walks run on preorder arrays, so
+    generating gen n = 2000, k = 8, moves = 80 makes no ``from_nested`` or
+    ``cut_pieces`` call, where rebuilding the tree four times per move took
+    about 5 s. With no moves every tree is the base tree itself."""
+    calls = Counter()
+    from_nested = PhyloTree.from_nested.__func__
+
+    def counting_nested(cls, nested):
+        calls["from_nested"] += 1
+        return from_nested(cls, nested)
+
+    def counting_cut(t, cut_children):
+        calls["cut_pieces"] += 1
+        return cut_pieces(t, cut_children)
+
+    cut_pieces = tree.cut_pieces
+    monkeypatch.setattr(PhyloTree, "from_nested", classmethod(counting_nested))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mafkit" and hasattr(module, "cut_pieces"):
+            monkeypatch.setattr(module, "cut_pieces", counting_cut)
+    trees = instance(GenSpec(n=2000, k=8, moves=80, seed=42))
+    assert len(trees) == 8 and len({t.canonical() for t in trees}) == 8
+    assert not calls, calls
+    trees = instance(GenSpec(n=2000, k=8, moves=0, seed=42))
+    assert all(t is trees[0] for t in trees)
+
+
+def test_digraph_peak_stays_near_its_result():
+    """The transitive digraph of a cyclic MAF forest (m = 234, k = 8) peaks
+    within 1.6 times the dict it returns. Holding the witness lists, the
+    sorted items and the returned dict at once peaked at 1.73 times."""
+    trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
+    roots = agreement_roots(maf_approx(trees)[0], trees)
+    assert not maaf._acyclic(roots, trees)
+    gc.collect()  # garbage freed inside the trace would shrink the result
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        g = maaf._digraph(roots, trees)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) > 500
+    returned, peak = current - entry, peak - entry
+    assert peak <= 1.6 * returned, f"peak {peak} B for {returned} B returned"
