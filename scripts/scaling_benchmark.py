@@ -59,10 +59,9 @@ def _machine() -> str:
 
 
 def _caterpillar(order) -> PhyloTree:
-    nested = order[0]
-    for lab in order[1:]:
-        nested = (nested, lab)
-    return PhyloTree.from_nested(nested)
+    """The caterpillar ((order[0], order[1]), order[2]), ... from its
+    preorder labels: every internal node first, then the leaves in order."""
+    return PhyloTree.from_preorder([None] * (len(order) - 1) + list(order))
 
 
 def _caterpillars(n: int, k: int, swaps: int, seed: int) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import PhyloTree, cut_pieces, lca, partition_forms
+from .tree import PhyloTree, lca, partition_forms, split
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ def cut_edges(f: Forest, edges) -> Forest:
 
     Within a cut component, the surviving pieces replace it in place, ordered
     by the preorder id of each piece's topmost node (remainder first, then
-    detached subtrees top-down). Raises ValueError for edges that do not
-    exist.
+    detached subtrees top-down). ``tree.split`` builds each piece straight
+    from the preorder labels it keeps, in O(|component|) per cut component.
+    Raises ValueError for edges that do not exist.
     """
     by_comp: dict[int, set[int]] = {}
     for ci, v in edges:
@@ -93,9 +94,7 @@ def cut_edges(f: Forest, edges) -> Forest:
         if ci not in by_comp:
             new_comps.append(comp)
             continue
-        for nested in cut_pieces(comp, by_comp[ci]):
-            if nested is not None:
-                new_comps.append(PhyloTree.from_nested(nested))
+        new_comps.extend(split(comp, by_comp[ci]))
     return Forest(tuple(new_comps), f.origin_labels)
 
 

@@ -90,8 +90,8 @@ def _prune(labels: list, sizes: list, p: int) -> tuple:
     parent q; return the subtree's (labels, sizes).
 
     One root-to-p walk shrinks each ancestor by the subtree plus q. With q
-    deleted the sibling's subtree sits in q's slot, as it does once
-    ``tree.cut_pieces`` suppresses q.
+    deleted the sibling's subtree sits in q's slot, as it does in the
+    remainder that ``tree.split`` builds.
     """
     s = sizes[p]
     u = q = 0
@@ -116,19 +116,6 @@ def _spr_step(labels: list, sizes: list, seed: int, stream: int) -> None:
     _graft(labels, sizes, target, *piece)
 
 
-def _tree(labels: list, sizes: list) -> PhyloTree:
-    """The tree of preorder labels (None for internal nodes) and sizes."""
-    parent = [-1] * len(labels)
-    children: list[tuple] = [()] * len(labels)
-    for u, lab in enumerate(labels):
-        if lab is None:
-            left = u + 1
-            right = left + sizes[left]
-            children[u] = (left, right)
-            parent[left] = parent[right] = u
-    return PhyloTree(parent, children, labels)
-
-
 def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     """Random topology over taxa t1..tn by sequential leaf attachment: each
     new leaf lands on a uniformly chosen spot among all edges plus the
@@ -146,7 +133,7 @@ def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     for i in range(2, n + 1):
         target = rng.below(len(labels))  # 0 = above the root
         _graft(labels, sizes, target, [f"t{i}"], [1])
-    return _tree(labels, sizes)
+    return PhyloTree.from_preorder(labels)
 
 
 def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
@@ -160,13 +147,13 @@ def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
 
     The move runs on ``t``'s preorder labels and sizes, where a left child
     directly follows its parent as in every tree ``parse`` and
-    ``from_nested`` build: two O(depth) walks and a few list splices.
+    ``from_preorder`` build: two O(depth) walks and a few list splices.
     """
     if t.n_leaves < 3:
         raise ValueError("SPR needs at least three leaves")
     labels, sizes = list(t.labels), list(t.sizes)
     _spr_step(labels, sizes, seed, stream)
-    return _tree(labels, sizes)
+    return PhyloTree.from_preorder(labels)
 
 
 def instance(spec: GenSpec) -> list:
@@ -187,5 +174,5 @@ def instance(spec: GenSpec) -> list:
         labels, sizes = list(base.labels), list(base.sizes)
         for j in range(spec.moves):
             _spr_step(labels, sizes, spec.seed, i * 65536 + j)
-        trees.append(_tree(labels, sizes))
+        trees.append(PhyloTree.from_preorder(labels))
     return trees

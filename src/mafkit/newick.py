@@ -15,10 +15,10 @@ starting with '#' are comments.
 ``parse`` makes one pass over the tokens of its text: whole labels and
 single non-whitespace characters. Node ids are assigned in order of
 appearance, which is preorder with children left to right, so the tokens
-fill the ``PhyloTree`` arrays directly. The pass enforces the invariants of
-``PhyloTree.validate()`` itself (two children per internal node at ',' and
-')', the label alphabet through the token pattern, distinct taxa), so no
-validation sweep follows.
+fill the ``PhyloTree`` arrays directly. The pass enforces every invariant
+of a valid tree itself (two children per internal node at ',' and ')', the
+label alphabet through the token pattern, distinct taxa; ids and parent
+links come out in preorder by construction), so no validation sweep follows.
 """
 
 from __future__ import annotations

@@ -134,6 +134,8 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
         raise ValueError(
             f"exact search on {n_taxa} taxa would not finish; cap is {HARD_TAXON_CAP}"
         )
+    if max_cuts is not None and max_cuts < 0:
+        raise ValueError(f"cut budget must be non-negative, got {max_cuts}")
     agrees = _partition_test(start, trees)
     pool = start.all_edges()
     budget = len(pool) if max_cuts is None else min(max_cuts, len(pool))
@@ -152,7 +154,8 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
 
 def exact_maf_forest(start: Forest, trees, max_cuts=None):
     """Minimum number of edges to delete from ``start`` so that what remains
-    is an agreement forest of the trees; None if over ``max_cuts``."""
+    is an agreement forest of the trees; None if over ``max_cuts``, which
+    must be None or non-negative (ValueError otherwise)."""
     trees = check_input_trees(trees)
     return _search(start, trees, max_cuts, acyclic=False)
 

@@ -10,23 +10,26 @@ Leaves carry taxon names (non-empty strings over ``[A-Za-z0-9_.-]``); internal
 nodes are unlabeled and have exactly two children. A single labeled leaf is a
 valid tree.
 
-Two primitives serve the rest of the package. ``below(t, v, u)`` is the one
-ancestry test: v is at or below u iff ``u <= v < u + size(u)``. ``fold``
-is the one bottom-up sweep: it computes a value per node from leaf values
-and a join, treating cut edges and empty subtrees as absent and passing a
-lone present child straight up (degree-2 suppression); restriction and
-cutting go through it. Two sweeps stay plain loops because they are hot
-and a callback per node measurably slows them: ``lca_map`` (each
-component's map into an input tree, from which the triple phase reads both
-cleanliness and conflicts) and ``partition_forms`` (canonical forms, and the
-agreement check and mapped roots for all components of a forest at once).
-``gen`` needs no sweep at all: its random growth and SPR walks edit the
-preorder label and size arrays in place and build each tree once.
+Trees are built from their preorder labels (``PhyloTree.from_preorder``),
+except that ``newick.parse`` writes the arrays in its own checked pass: taxa
+on leaves and None on internal nodes fix a binary tree's shape, since a left
+child directly follows its parent. ``split`` cuts a tree into pieces by
+picking out, per piece, the labels of the nodes it keeps, and ``gen``'s
+random growth and SPR walks edit the preorder label and size arrays in place
+and build each tree once.
+
+``below(t, v, u)`` is the one ancestry test: v is at or below u iff
+``u <= v < u + size(u)``. ``fold`` is a plain bottom-up sweep, a leaf value
+per leaf and a join per internal node. Two sweeps stay plain loops because
+they are hot and a callback per node measurably slows them: ``lca_map``
+(each component's map into an input tree, from which the triple phase reads
+both cleanliness and conflicts) and ``partition_forms`` (canonical forms,
+and the agreement check and mapped roots for all components of a forest at
+once).
 """
 
 from __future__ import annotations
 
-# nested form: a leaf label (str), or a pair of nested forms
 LABEL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-")
 
 
@@ -59,6 +62,31 @@ class PhyloTree:
     # ── construction ──────────────────────────────────────────────────
 
     @classmethod
+    def from_preorder(cls, labels) -> "PhyloTree":
+        """Build a tree from its preorder labels: the taxon on each leaf,
+        None on each internal node.
+
+        In a binary tree these fix the shape: a left child directly follows
+        its parent and the right child follows the left child's subtree.
+        One reverse sweep fills the links and the subtree sizes, which are
+        kept as the ``sizes`` cache. ``labels`` becomes the tree's own list.
+        """
+        n = len(labels)
+        parent = [-1] * n
+        children: list[tuple] = [()] * n
+        sizes = [1] * n
+        for u in range(n - 1, -1, -1):
+            if labels[u] is None:
+                left = u + 1
+                right = left + sizes[left]
+                children[u] = (left, right)
+                parent[left] = parent[right] = u
+                sizes[u] = 1 + sizes[left] + sizes[right]
+        t = cls(parent, children, labels)
+        t._sizes = sizes
+        return t
+
+    @classmethod
     def from_nested(cls, nested) -> "PhyloTree":
         """Build a tree from nested pairs, e.g. ``(("a", "b"), "c")``.
 
@@ -66,59 +94,18 @@ class PhyloTree:
         Iterative so that deep (caterpillar) trees do not hit the
         interpreter recursion limit.
         """
-        parent: list[int] = []
-        kids: list[list[int]] = []
         labels: list[str | None] = []
-        stack = [(nested, -1)]
+        stack = [nested]
         while stack:
-            node, par = stack.pop()
-            idx = len(parent)
-            parent.append(par)
-            kids.append([])
-            if par >= 0:
-                kids[par].append(idx)
+            node = stack.pop()
             if isinstance(node, str):
                 labels.append(node)
             else:
                 labels.append(None)
                 left, right = node
-                stack.append((right, idx))
-                stack.append((left, idx))
-        children = [tuple(k) for k in kids]
-        return cls(parent, children, labels)
-
-    def validate(self) -> None:
-        """Raise ValueError unless every structural invariant holds."""
-        n = self.n_nodes
-        if n == 0:
-            raise ValueError("empty node table")
-        if self.root != 0 or self.parent[0] != -1:
-            raise ValueError("root must be node 0 with no parent")
-        seen_labels = set()
-        for u in range(n):
-            ks = self.children[u]
-            if len(ks) not in (0, 2):
-                raise ValueError(f"node {u} has out-degree {len(ks)}, expected 0 or 2")
-            for c in ks:
-                if not (u < c < n):
-                    raise ValueError(f"child {c} of node {u} breaks preorder numbering")
-                if self.parent[c] != u:
-                    raise ValueError(f"parent link of node {c} is inconsistent")
-            lab = self.labels[u]
-            if ks and lab is not None:
-                raise ValueError(f"internal node {u} carries label {lab!r}")
-            if not ks:
-                if lab is None:
-                    raise ValueError(f"leaf {u} has no label")
-                if not lab or not set(lab) <= LABEL_CHARS:
-                    raise ValueError(f"bad taxon name {lab!r}")
-                if lab in seen_labels:
-                    raise ValueError(f"duplicate taxon {lab!r}")
-                seen_labels.add(lab)
-        # connectivity: every non-root node must be reachable, i.e. have a parent
-        for u in range(1, n):
-            if self.parent[u] < 0:
-                raise ValueError(f"node {u} is disconnected")
+                stack.append(right)
+                stack.append(left)
+        return cls.from_preorder(labels)
 
     # ── basic shape ───────────────────────────────────────────────────
 
@@ -247,52 +234,24 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     return m
 
 
-# ── bottom-up rewrites ────────────────────────────────────────────────
+# ── bottom-up sweeps and splitting ──────────────────────────────────
 
 
-def fold(t: PhyloTree, leaf, join, cut=()) -> list:
-    """Per-node values of ``t``, computed bottom-up.
-
-    A leaf gets ``leaf(label)``. A child whose value is None, or whose
-    parent edge is in ``cut`` (named by the child), is absent; a node with
-    both children present gets ``join(left, right)``, with one it passes
-    that child's value up, and with none it gets None.
-    """
+def fold(t: PhyloTree, leaf, join) -> list:
+    """Per-node values of ``t``, computed bottom-up: ``leaf(label)`` at a
+    leaf, ``join(left, right)`` of the children's values elsewhere."""
     children = t.children
     labels = t.labels
     val = [None] * t.n_nodes
     for u in range(t.n_nodes - 1, -1, -1):
         ks = children[u]
-        if not ks:
-            val[u] = leaf(labels[u])
-            continue
-        left, right = ks
-        a = None if left in cut else val[left]
-        b = None if right in cut else val[right]
-        val[u] = b if a is None else a if b is None else join(a, b)
+        val[u] = join(val[ks[0]], val[ks[1]]) if ks else leaf(labels[u])
     return val
 
 
-def restrict(t: PhyloTree, taxa) -> PhyloTree:
-    """Minimal subtree of ``t`` connecting ``taxa``, with every degree-2 node
-    suppressed. The result is a valid tree on exactly the given taxa."""
-    nested = restricted_nested(t, taxa)
-    return PhyloTree.from_nested(nested)
-
-
-def restricted_nested(t: PhyloTree, taxa):
-    keep = frozenset(taxa)
-    if not keep:
-        raise ValueError("cannot restrict to an empty taxon set")
-    unknown = keep - t.leaf_labels
-    if unknown:
-        raise ValueError(f"unknown taxon {sorted(unknown)[0]!r}")
-    red = fold(t, lambda lab: lab if lab in keep else None, lambda a, b: (a, b))
-    return red[t.root]
-
-
 def restricted_canonical(t: PhyloTree, taxa) -> str:
-    """Canonical form of restrict(t, taxa) without building the tree.
+    """Canonical form of ``t`` restricted to ``taxa``, without building
+    the restricted tree.
 
     No longer on any hot path: the triple phase reads cleanliness off the
     component's ``lca_map`` (``triples._realized``), which costs
@@ -381,15 +340,40 @@ def partition_forms(t: PhyloTree, block_of: dict, sizes) -> tuple | None:
     return forms, tops
 
 
-def cut_pieces(t: PhyloTree, cut_children) -> list:
-    """Split ``t`` by deleting the parent edges of ``cut_children``.
+def split(t: PhyloTree, cut_children) -> list:
+    """The pieces of ``t`` left by deleting the parent edges of
+    ``cut_children``, each with its degree-2 nodes suppressed, ordered by
+    the preorder id of the piece's topmost node (the remainder around the
+    old root first). Pieces that hold no leaf are dropped.
 
-    Returns the nested form of each resulting piece, ordered by the preorder
-    id of the piece's topmost node (the remainder around the old root comes
-    first). Pieces that contain no labeled leaf come out as None; callers
-    decide whether to discard them. Degree-2 suppression is built in: a node
-    left with a single child passes that child through.
+    A reverse pass counts, per node, the child edges that are not cut and
+    still lead to a leaf (a leaf counts as 2); a forward pass gives each
+    node the top of its piece. Nodes counting 2 are exactly those the
+    piece keeps, and they come in the piece's own preorder, so their
+    labels build it through ``from_preorder``.
     """
-    cuts = set(cut_children)
-    red = fold(t, lambda lab: lab, lambda a, b: (a, b), cuts)
-    return [red[top] for top in sorted({t.root} | cuts)]
+    cut = set(cut_children)
+    children = t.children
+    parent = t.parent
+    labels = t.labels
+    n = t.n_nodes
+    count = [2] * n
+    for u in range(n - 1, -1, -1):
+        ks = children[u]
+        if ks:
+            left, right = ks
+            c = 0
+            if count[left] and left not in cut:
+                c = 1
+            if count[right] and right not in cut:
+                c += 1
+            count[u] = c
+    top = list(range(n))
+    for u in range(1, n):
+        if u not in cut:
+            top[u] = top[parent[u]]
+    pieces: dict[int, list] = {v: [] for v in sorted({0, *cut})}
+    for u in range(n):
+        if count[u] == 2:
+            pieces[top[u]].append(labels[u])
+    return [PhyloTree.from_preorder(p) for p in pieces.values() if p]

@@ -12,7 +12,8 @@ and ``from_nested`` again. They are kept only so the in-place array walks in
 from __future__ import annotations
 
 from mafkit import GenSpec, PhyloTree, SeededRng
-from mafkit.tree import cut_pieces
+
+from reference_tree import cut_pieces, from_nested
 
 
 def _grafted_nested(t: PhyloTree, target: int, graft):
@@ -37,10 +38,10 @@ def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     if n < 1:
         raise ValueError("need at least one taxon")
     rng = SeededRng(seed, stream)
-    tree = PhyloTree.from_nested("t1")
+    tree = from_nested("t1")
     for i in range(2, n + 1):
         target = rng.below(tree.n_nodes)  # 0 = above the root
-        tree = PhyloTree.from_nested(_grafted_nested(tree, target, f"t{i}"))
+        tree = from_nested(_grafted_nested(tree, target, f"t{i}"))
     return tree
 
 
@@ -58,13 +59,13 @@ def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
     rng = SeededRng(seed, stream)
     prune = 1 + rng.below(t.n_nodes - 1)
     remainder_nested, pruned_nested = cut_pieces(t, {prune})
-    remainder = PhyloTree.from_nested(remainder_nested)
+    remainder = from_nested(remainder_nested)
     if remainder.n_nodes > 1:
         target = 1 + rng.below(remainder.n_nodes - 1)
         nested = _grafted_nested(remainder, target, pruned_nested)
     else:
         nested = (remainder_nested, pruned_nested)
-    return PhyloTree.from_nested(nested)
+    return from_nested(nested)
 
 
 def instance(spec: GenSpec) -> list:

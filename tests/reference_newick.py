@@ -1,6 +1,6 @@
 """Reference Newick parser: the character-at-a-time parser that builds
-nested tuples, converts them with ``PhyloTree.from_nested`` and then runs
-``PhyloTree.validate()``.
+nested tuples, converts them with the original ``from_nested`` builder and
+then runs ``validate``, both now in ``reference_tree``.
 
 Kept only so that the one-pass tokenized ``mafkit.newick.parse`` can be
 differential-tested against it: equal node tables on every accepted input,
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from mafkit.newick import NewickError
 from mafkit.tree import LABEL_CHARS, PhyloTree
+
+from reference_tree import from_nested, validate
 
 
 def parse(text: str, _line: int | None = None) -> PhyloTree:
@@ -100,8 +102,8 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
                 i = skip_ws(i)
                 if i < n:
                     fail("trailing content after ';'", i)
-                tree = PhyloTree.from_nested(done)
-                tree.validate()
+                tree = from_nested(done)
+                validate(tree)
                 return tree
             fail(f"expected ',', ')' or ';', got {ch!r}", i)
 

@@ -131,6 +131,13 @@ def test_exit_code_budget(capsys, pair_file):
     assert "budget" in err
 
 
+def test_negative_budget_is_invalid(capsys, pair_file):
+    for argv in (["exact", pair_file], ["maf", pair_file, "--oracle"]):
+        code, out, err = run(capsys, [*argv, "--max-cuts", "-1"])
+        assert code == 2 and not out
+        assert "invalid instance" in err and "non-negative" in err
+
+
 def test_check_accepts_and_rejects(capsys, tmp_path, pair_file):
     good = tmp_path / "good.nwk"
     good.write_text("(a,b);\nc;\n")

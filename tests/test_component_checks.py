@@ -31,12 +31,13 @@ from mafkit import (
 from mafkit import maaf, maf
 from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import random_tree, spr_move
-from mafkit.tree import partition_forms, restrict, restricted_canonical, restricted_nested
+from mafkit.tree import partition_forms, restricted_canonical
 
 import reference_forest
 import reference_maaf
 import reference_maf
 from reference_gen import _grafted_nested
+from reference_tree import restrict, restricted_nested
 from helpers import derived_params, forest_newicks, three_cycle_fixture
 
 

@@ -14,6 +14,7 @@ from mafkit import (
 from mafkit.gen import random_tree, spr_move
 
 import reference_gen
+from reference_tree import validate
 
 
 def test_rng_golden_values():
@@ -43,7 +44,7 @@ def test_three_leaf_reproducible():
 def test_node_and_edge_counts():
     t = random_tree(8, seed=0)
     assert t.n_nodes == 15  # 7 internal + 8 leaves
-    t.validate()
+    validate(t)
 
 
 def test_all_three_leaf_shapes_reachable():
@@ -54,7 +55,7 @@ def test_all_three_leaf_shapes_reachable():
 def test_spr_preserves_taxa_and_size():
     t = random_tree(7, seed=11)
     moved = spr_move(t, seed=23)
-    moved.validate()
+    validate(moved)
     assert moved.leaf_labels == t.leaf_labels
     assert moved.n_nodes == t.n_nodes
 
@@ -145,7 +146,7 @@ def test_instance_and_spr_move_match_reference():
                     lone_leaf += t.sizes[prune] == t.n_nodes - 2
                     walk[j + 1] = reference_gen.spr_move(t, seed, stream)
                     moved = spr_move(t, seed, stream)
-                    moved.validate()
+                    validate(moved)
                     _same_tables(moved, walk[j + 1], (n, seed, stream))
                 walks[i] = walk
             for moves in range(31):
@@ -158,5 +159,5 @@ def test_instance_and_spr_move_match_reference():
     for spec in (GenSpec(300, 3, 80, 1), GenSpec(150, 5, 40, 3)):
         got = instance(spec)
         for fast, slow in zip(got, reference_gen.instance(spec), strict=True):
-            fast.validate()
+            validate(fast)
             _same_tables(fast, slow, spec)

@@ -10,6 +10,7 @@ from mafkit import NewickError, parse, read_trees, serialize
 from mafkit.gen import random_tree
 
 import reference_newick
+from reference_tree import validate
 
 
 def test_three_leaf_shape():
@@ -121,7 +122,7 @@ def test_parser_never_crashes(text):
     except NewickError as err:
         assert 0 <= err.offset <= len(text)
     else:
-        t.validate()
+        validate(t)
 
 
 # ── differential: the one-pass parser against the reference parser ─────
@@ -138,7 +139,7 @@ def _outcome(parse_fn, text, **kw):
         t = parse_fn(text, **kw)
     except NewickError as err:
         return "rejected", str(err), err.offset, err.line
-    t.validate()
+    validate(t)
     return "accepted", t.parent, t.children, t.labels, t.root
 
 
@@ -148,7 +149,7 @@ def _read_outcome(read_fn, text):
     except NewickError as err:
         return "rejected", str(err), err.offset, err.line
     for t in trees:
-        t.validate()
+        validate(t)
     return "accepted", [(t.parent, t.children, t.labels) for t in trees]
 
 

@@ -62,6 +62,14 @@ def test_budget_exhaustion_returns_none():
     assert exact_maf([t1, t2], max_cuts=0) is None
 
 
+def test_negative_budget_rejected():
+    t1, t2 = parse("((a,b),c);"), parse("((a,c),b);")
+    for exact in (exact_maf, exact_maaf):
+        with pytest.raises(ValueError, match="non-negative"):
+            exact([t1, t2], max_cuts=-1)
+    assert exact_maf([t1, t1], max_cuts=0).min_cuts == 0
+
+
 def test_taxon_cap():
     t = random_tree(17, seed=3)
     u = random_tree(17, seed=4)

@@ -1,11 +1,12 @@
 """Scale guards: the triple search must stay far from its old cubic time and
 quadratic memory, the checks over a forest's components must not redo a
 per-component restriction or embedding, the exact search must restrict
-nothing, parsing must stay linear and iterative, and generation must build
-each tree once. The bounds are generous, so a pass is not luck and a
-failure means a return to a per-triple scan, a pairwise table, a rescan of
-every component, a canonical string per leaf set, a recursive parser or a
-rebuild per SPR move."""
+nothing, parsing must stay linear and iterative, generation must build
+each tree once, and cuts must build their pieces without nested tuples. The
+bounds are generous, so a pass is not luck and a failure means a return to
+a per-triple scan, a pairwise table, a rescan of every component, a
+canonical string per leaf set, a recursive parser, a rebuild per SPR move
+or a nested-tuple detour per cut."""
 
 import gc
 import sys
@@ -235,32 +236,53 @@ def test_parse_20000_leaves_is_linear_and_iterative(shape):
     assert (back.parent, back.children, back.labels) == (t.parent, t.children, t.labels)
 
 
-def test_instance_builds_each_tree_once(monkeypatch):
-    """Counts, not times: the SPR walks run on preorder arrays, so
-    generating gen n = 2000, k = 8, moves = 80 makes no ``from_nested`` or
-    ``cut_pieces`` call, where rebuilding the tree four times per move took
-    about 5 s. With no moves every tree is the base tree itself."""
+def _count_rebuilds(monkeypatch) -> Counter:
+    """Count ``PhyloTree.from_nested`` and ``tree.split`` calls from here on,
+    wherever a ``mafkit`` module holds ``split``."""
     calls = Counter()
     from_nested = PhyloTree.from_nested.__func__
+    split = tree.split
 
     def counting_nested(cls, nested):
         calls["from_nested"] += 1
         return from_nested(cls, nested)
 
-    def counting_cut(t, cut_children):
-        calls["cut_pieces"] += 1
-        return cut_pieces(t, cut_children)
+    def counting_split(t, cut_children):
+        calls["split"] += 1
+        return split(t, cut_children)
 
-    cut_pieces = tree.cut_pieces
     monkeypatch.setattr(PhyloTree, "from_nested", classmethod(counting_nested))
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mafkit" and hasattr(module, "cut_pieces"):
-            monkeypatch.setattr(module, "cut_pieces", counting_cut)
+        if name.split(".")[0] == "mafkit" and hasattr(module, "split"):
+            monkeypatch.setattr(module, "split", counting_split)
+    return calls
+
+
+def test_instance_builds_each_tree_once(monkeypatch):
+    """Counts, not times: the SPR walks run on preorder arrays, so
+    generating gen n = 2000, k = 8, moves = 80 makes no ``from_nested`` or
+    ``split`` call, where rebuilding the tree four times per move took
+    about 5 s. With no moves every tree is the base tree itself."""
+    calls = _count_rebuilds(monkeypatch)
     trees = instance(GenSpec(n=2000, k=8, moves=80, seed=42))
     assert len(trees) == 8 and len({t.canonical() for t in trees}) == 8
     assert not calls, calls
     trees = instance(GenSpec(n=2000, k=8, moves=0, seed=42))
     assert all(t is trees[0] for t in trees)
+
+
+def test_cuts_build_pieces_without_nested_tuples(monkeypatch):
+    """Every cut piece is built straight from its preorder labels by
+    ``tree.split``: ``maf_approx`` and ``maaf_approx`` on gen n = 300,
+    k = 8, moves = 24 make no ``from_nested`` call, where each cut
+    component used to go through nested tuples and ``from_nested``."""
+    trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
+    calls = _count_rebuilds(monkeypatch)
+    forest, _ = maf_approx(trees)
+    acyclic, cycle_cuts = maaf_approx(forest, trees)
+    assert cycle_cuts.entries and calls["split"] > 0
+    assert calls["from_nested"] == 0, calls
+    assert is_agreement_forest(forest, trees) and is_agreement_forest(acyclic, trees)
 
 
 def test_digraph_peak_stays_near_its_result():

@@ -19,9 +19,10 @@ from mafkit import (
     serialize,
 )
 from mafkit.gen import random_tree
-from mafkit.tree import below, lca_map, restrict
+from mafkit.tree import below, lca_map
 
 import reference_tree
+from reference_tree import restrict
 
 
 @pytest.fixture

@@ -18,11 +18,12 @@ from mafkit import (
     parse,
 )
 from mafkit.gen import spr_move
-from mafkit.tree import below, lca_map, restrict, restricted_canonical
+from mafkit.tree import below, lca_map, restricted_canonical
 from mafkit.triples import _realized
 
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
+from reference_tree import restrict
 
 
 def test_triple_of_reads_the_shape():
