@@ -5,8 +5,9 @@ lines allowed; '-' reads stdin). The first tree in a file seeds the working
 forest; the rest drive the cutting. JSON reports on stdout are byte-stable
 for identical inputs: anything timing-related goes to stderr.
 
-Exit codes: 0 success (and 'check' acceptance), 1 Newick parse error,
-2 invalid instance or rejected forest, 3 exact-search budget exceeded.
+Exit codes: 0 success (and 'check' acceptance), 1 Newick parse error or
+unreadable input, 2 invalid instance or rejected forest, 3 exact-search
+budget exceeded.
 """
 
 from __future__ import annotations

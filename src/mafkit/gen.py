@@ -133,7 +133,7 @@ def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     for i in range(2, n + 1):
         target = rng.below(len(labels))  # 0 = above the root
         _graft(labels, sizes, target, [f"t{i}"], [1])
-    return PhyloTree.from_preorder(labels)
+    return PhyloTree(labels)
 
 
 def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
@@ -146,14 +146,14 @@ def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
     the only spot left. Requires at least three leaves.
 
     The move runs on ``t``'s preorder labels and sizes, where a left child
-    directly follows its parent as in every tree ``parse`` and
-    ``from_preorder`` build: two O(depth) walks and a few list splices.
+    directly follows its parent as in every ``PhyloTree``: two O(depth)
+    walks and a few list splices.
     """
     if t.n_leaves < 3:
         raise ValueError("SPR needs at least three leaves")
     labels, sizes = list(t.labels), list(t.sizes)
     _spr_step(labels, sizes, seed, stream)
-    return PhyloTree.from_preorder(labels)
+    return PhyloTree(labels)
 
 
 def instance(spec: GenSpec) -> list:
@@ -174,5 +174,5 @@ def instance(spec: GenSpec) -> list:
         labels, sizes = list(base.labels), list(base.sizes)
         for j in range(spec.moves):
             _spr_step(labels, sizes, spec.seed, i * 65536 + j)
-        trees.append(PhyloTree.from_preorder(labels))
+        trees.append(PhyloTree(labels))
     return trees

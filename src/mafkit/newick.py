@@ -13,12 +13,14 @@ would mask caller errors. Multi-tree files hold one tree per line; lines
 starting with '#' are comments.
 
 ``parse`` makes one pass over the tokens of its text: whole labels and
-single non-whitespace characters. Node ids are assigned in order of
-appearance, which is preorder with children left to right, so the tokens
-fill the ``PhyloTree`` arrays directly. The pass enforces every invariant
-of a valid tree itself (two children per internal node at ',' and ')', the
-label alphabet through the token pattern, distinct taxa; ids and parent
-links come out in preorder by construction), so no validation sweep follows.
+single non-whitespace characters. Nodes appear in preorder with children
+left to right, so the pass only collects the preorder labels (None for each
+'(') and hands them to ``PhyloTree``. It enforces every invariant of a
+valid tree itself (two children per internal node at ',' and ')', counted
+per open node; the label alphabet through the token pattern; distinct
+taxa), so no validation sweep follows. ``serialize`` walks the labels back
+with the same per-node child counts. Neither reads or writes the tree's
+``parent`` and ``children`` arrays.
 """
 
 from __future__ import annotations
@@ -48,53 +50,41 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
     whitespace. Raises NewickError with a byte offset on any violation.
     """
     tokens = _TOKEN.findall(text)
-    parent: list[int] = []
-    children: list[tuple] = []
     labels: list[str | None] = []
     seen: set[str] = set()
-    stack = [-1]  # open internal nodes above a -1 sentinel, innermost last
+    open_kids: list[int] = []  # children done, per open internal node, innermost last
     want = True  # expecting a subtree, else ',', ')' or ';'
-    done = -1  # root of the last complete subtree
     for j, tok in enumerate(tokens):
         if want:
-            u = len(parent)
-            parent.append(stack[-1])
-            children.append(())
             if tok == "(":
                 labels.append(None)
-                stack.append(u)
+                open_kids.append(0)
             elif tok[0] in LABEL_CHARS:
                 if tok in seen:
                     _fail(text, _line, f"duplicate taxon {tok!r}", j)
                 seen.add(tok)
                 labels.append(tok)
-                done = u
                 want = False
             else:
                 _fail(text, _line, f"expected a subtree, got {tok!r}", j)
         elif tok == ",":
-            u = stack[-1]
-            if u < 0:
+            if not open_kids:
                 _fail(text, _line, "',' outside parentheses", j)
-            if children[u]:
+            if open_kids[-1]:
                 _fail(text, _line, "non-binary node: more than two children", j)
-            # until ')', the bare left child id (>= 1): no tuple, no new int
-            children[u] = done
+            open_kids[-1] = 1
             want = True
         elif tok == ")":
-            u = stack.pop()
-            if u < 0:
+            if not open_kids:
                 _fail(text, _line, "unmatched ')'", j)
-            if not children[u]:
+            if not open_kids.pop():
                 _fail(text, _line, "non-binary node: expected exactly two children", j)
-            children[u] = (children[u], done)
-            done = u
         elif tok == ";":
-            if len(stack) > 1:
+            if open_kids:
                 _fail(text, _line, "unexpected ';' inside parentheses", j)
             if j + 1 < len(tokens):
                 _fail(text, _line, "trailing content after ';'", j + 1)
-            return PhyloTree(parent, children, labels)
+            return PhyloTree(labels)
         else:
             _fail(text, _line, _after_subtree_error(text, tokens, j), j)
     if not tokens:
@@ -125,19 +115,26 @@ def _after_subtree_error(text: str, tokens: list[str], j: int) -> str:
 
 
 def serialize(t: PhyloTree) -> str:
-    """Newick string for ``t``, children in stored order, ';'-terminated."""
+    """Newick string for ``t``, children in stored order, ';'-terminated.
+
+    One walk over the preorder labels: None opens a node, and a leaf closes
+    every open node whose right subtree it ends, then separates the next
+    child of the innermost node still open.
+    """
     out: list[str] = []
-    stack: list = [t.root]  # node ids, and punctuation still to write
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif t.children[item]:
-            left, right = t.children[item]
+    open_kids: list[int] = []  # children done, per open internal node, innermost last
+    for lab in t.labels:
+        if lab is None:
             out.append("(")
-            stack += (")", right, ",", left)
-        else:
-            out.append(t.labels[item])
+            open_kids.append(0)
+            continue
+        out.append(lab)
+        while open_kids and open_kids[-1]:
+            open_kids.pop()
+            out.append(")")
+        if open_kids:
+            open_kids[-1] = 1
+            out.append(",")
     out.append(";")
     return "".join(out)
 

@@ -10,13 +10,13 @@ Leaves carry taxon names (non-empty strings over ``[A-Za-z0-9_.-]``); internal
 nodes are unlabeled and have exactly two children. A single labeled leaf is a
 valid tree.
 
-Trees are built from their preorder labels (``PhyloTree.from_preorder``),
-except that ``newick.parse`` writes the arrays in its own checked pass: taxa
-on leaves and None on internal nodes fix a binary tree's shape, since a left
-child directly follows its parent. ``split`` cuts a tree into pieces by
-picking out, per piece, the labels of the nodes it keeps, and ``gen``'s
-random growth and SPR walks edit the preorder label and size arrays in place
-and build each tree once.
+Every tree is built from its preorder labels by ``PhyloTree(labels)``:
+taxa on leaves and None on internal nodes fix a binary tree's shape, since a
+left child directly follows its parent. ``newick.parse`` collects the labels
+in its checked pass, ``split`` cuts a tree into pieces by picking out, per
+piece, the labels of the nodes it keeps, and ``gen``'s random growth and SPR
+walks edit the preorder label and size arrays in place and build each tree
+once. Only the constructor writes the ``parent`` and ``children`` arrays.
 
 ``below(t, v, u)`` is the one ancestry test: v is at or below u iff
 ``u <= v < u + size(u)``. ``fold`` is a plain bottom-up sweep, a leaf value
@@ -45,67 +45,49 @@ class PhyloTree:
     """
 
     __slots__ = (
-        "parent", "children", "labels", "root",
+        "parent", "children", "labels",
         "_canonical", "_label_node", "_depths", "_sizes",
     )
 
-    def __init__(self, parent, children, labels, root=0):
+    root = 0
+
+    def __init__(self, labels):
+        """Build the tree whose preorder labels are ``labels``: the taxon on
+        each leaf, None on each internal node. ``labels`` becomes the
+        tree's own list.
+
+        In a binary tree these fix the shape: a left child directly follows
+        its parent and the right child follows the left child's subtree.
+        One forward sweep fills the links. A node right after an internal
+        node is its left child, stored bare until the right child arrives
+        and makes the pair; any other node is the right child of the
+        innermost internal node still waiting for one.
+        """
+        n = len(labels)
+        parent = [-1] * n
+        children: list = [()] * n
+        waiting = []  # internal nodes without their right child, innermost last
+        opened = None  # the previous node, if internal
+        for u, label in enumerate(labels):
+            if opened is not None:
+                parent[u] = opened
+                children[opened] = u
+            elif waiting:
+                p = waiting.pop()
+                parent[u] = p
+                children[p] = (children[p], u)
+            if label is None:
+                waiting.append(u)
+                opened = u
+            else:
+                opened = None
         self.parent = parent
         self.children = children
         self.labels = labels
-        self.root = root
         self._canonical = None
         self._label_node = None
         self._depths = None
         self._sizes = None
-
-    # ── construction ──────────────────────────────────────────────────
-
-    @classmethod
-    def from_preorder(cls, labels) -> "PhyloTree":
-        """Build a tree from its preorder labels: the taxon on each leaf,
-        None on each internal node.
-
-        In a binary tree these fix the shape: a left child directly follows
-        its parent and the right child follows the left child's subtree.
-        One reverse sweep fills the links and the subtree sizes, which are
-        kept as the ``sizes`` cache. ``labels`` becomes the tree's own list.
-        """
-        n = len(labels)
-        parent = [-1] * n
-        children: list[tuple] = [()] * n
-        sizes = [1] * n
-        for u in range(n - 1, -1, -1):
-            if labels[u] is None:
-                left = u + 1
-                right = left + sizes[left]
-                children[u] = (left, right)
-                parent[left] = parent[right] = u
-                sizes[u] = 1 + sizes[left] + sizes[right]
-        t = cls(parent, children, labels)
-        t._sizes = sizes
-        return t
-
-    @classmethod
-    def from_nested(cls, nested) -> "PhyloTree":
-        """Build a tree from nested pairs, e.g. ``(("a", "b"), "c")``.
-
-        Node ids come out in preorder with children in the given order.
-        Iterative so that deep (caterpillar) trees do not hit the
-        interpreter recursion limit.
-        """
-        labels: list[str | None] = []
-        stack = [nested]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                labels.append(node)
-            else:
-                labels.append(None)
-                left, right = node
-                stack.append(right)
-                stack.append(left)
-        return cls.from_preorder(labels)
 
     # ── basic shape ───────────────────────────────────────────────────
 
@@ -350,7 +332,7 @@ def split(t: PhyloTree, cut_children) -> list:
     still lead to a leaf (a leaf counts as 2); a forward pass gives each
     node the top of its piece. Nodes counting 2 are exactly those the
     piece keeps, and they come in the piece's own preorder, so their
-    labels build it through ``from_preorder``.
+    labels build it.
     """
     cut = set(cut_children)
     children = t.children
@@ -376,4 +358,4 @@ def split(t: PhyloTree, cut_children) -> list:
     for u in range(n):
         if count[u] == 2:
             pieces[top[u]].append(labels[u])
-    return [PhyloTree.from_preorder(p) for p in pieces.values() if p]
+    return [PhyloTree(p) for p in pieces.values() if p]

@@ -14,14 +14,30 @@ def derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):
     return GenSpec(n=n, k=k, moves=moves, seed=master_seed * 1_000_003 + idx)
 
 
+def nested_tree(nested) -> PhyloTree:
+    """The tree of nested pairs, e.g. ``(("a", "b"), "c")``, with children
+    in the given order. Iterative, so deep caterpillars do not hit the
+    interpreter recursion limit."""
+    labels = []
+    stack = [nested]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            labels.append(node)
+        else:
+            labels.append(None)
+            stack += (node[1], node[0])
+    return PhyloTree(labels)
+
+
 def all_topologies(labels):
     """Every rooted binary tree shape on the given labels, each exactly once
     (sequential insertion over all attachment points is a bijection onto
     shapes: 3 trees for 3 labels, 15 for 4)."""
-    shapes = [PhyloTree.from_nested(labels[0])]
+    shapes = [nested_tree(labels[0])]
     for lab in labels[1:]:
         shapes = [
-            PhyloTree.from_nested(_grafted_nested(t, pos, lab))
+            nested_tree(_grafted_nested(t, pos, lab))
             for t in shapes
             for pos in range(t.n_nodes)
         ]

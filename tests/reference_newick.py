@@ -1,10 +1,15 @@
-"""Reference Newick parser: the character-at-a-time parser that builds
-nested tuples, converts them with the original ``from_nested`` builder and
-then runs ``validate``, both now in ``reference_tree``.
+"""Reference Newick code.
 
-Kept only so that the one-pass tokenized ``mafkit.newick.parse`` can be
-differential-tested against it: equal node tables on every accepted input,
-and an equal error message, offset and line on every rejected one.
+- ``parse``: the character-at-a-time parser that builds nested tuples,
+  converts them with the original ``from_nested`` builder and then runs
+  ``validate``, both now in ``reference_tree``.
+- ``serialize``: the writer that walked node ids and punctuation on one
+  stack, before ``mafkit.newick.serialize`` came to walk the preorder
+  labels alone.
+
+Kept only so that ``mafkit.newick`` can be differential-tested against
+them: equal node tables on every accepted input, an equal error message,
+offset and line on every rejected one, and equal text for every tree.
 """
 
 from __future__ import annotations
@@ -106,6 +111,24 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
                 validate(tree)
                 return tree
             fail(f"expected ',', ')' or ';', got {ch!r}", i)
+
+
+def serialize(t: PhyloTree) -> str:
+    """Newick string for ``t``, children in stored order, ';'-terminated."""
+    out: list[str] = []
+    stack: list = [t.root]  # node ids, and punctuation still to write
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif t.children[item]:
+            left, right = t.children[item]
+            out.append("(")
+            stack += (")", right, ",", left)
+        else:
+            out.append(t.labels[item])
+    out.append(";")
+    return "".join(out)
 
 
 def read_trees(text: str) -> list[PhyloTree]:

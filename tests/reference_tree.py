@@ -7,6 +7,7 @@ built from its preorder labels, plus the helpers only the tests use.
   ``cut_pieces`` and ``from_nested``'s own array builder: the nested-tuple
   route that ``forest.cut_edges`` took before ``tree.split``, and
   ``split_reference``, which chains them as ``cut_edges`` did.
+  ``from_nested`` checks its arrays against ``PhyloTree(labels)``.
 - ``validate``, ``restrict`` and ``restricted_nested``, which no module of
   the package needs.
 
@@ -53,7 +54,9 @@ def from_nested(nested) -> PhyloTree:
 
     Node ids come out in preorder with children in the given order.
     Iterative so that deep (caterpillar) trees do not hit the
-    interpreter recursion limit.
+    interpreter recursion limit. The original array builder: it assembles
+    ``parent`` and ``children`` itself and asserts that ``PhyloTree`` builds
+    the same from the preorder labels, so every use is a constructor check.
     """
     parent: list[int] = []
     kids: list[list[int]] = []
@@ -74,7 +77,9 @@ def from_nested(nested) -> PhyloTree:
             stack.append((right, idx))
             stack.append((left, idx))
     children = [tuple(k) for k in kids]
-    return PhyloTree(parent, children, labels)
+    t = PhyloTree(labels)
+    assert (t.parent, t.children) == (parent, children), nested
+    return t
 
 
 def cut_pieces(t: PhyloTree, cut_children) -> list:

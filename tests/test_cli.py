@@ -117,6 +117,16 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_exit_code_unreadable_input(capsys, tmp_path, pair_file):
+    """A missing trees file, or a missing forest file for ``check``, exits 1
+    with nothing on stdout."""
+    missing = str(tmp_path / "missing.nwk")
+    for argv in (["maf", missing], ["check", missing, pair_file], ["check", pair_file, missing]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out, argv
+        assert "cannot read input" in err and "missing.nwk" in err
+
+
 def test_exit_code_invalid_instance(capsys, tmp_path):
     p = tmp_path / "one.nwk"
     p.write_text("((a,b),c);\n")

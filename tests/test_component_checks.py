@@ -18,7 +18,6 @@ digraph.
 from mafkit import (
     Forest,
     GenSpec,
-    PhyloTree,
     SeededRng,
     build_gf,
     cut_edges,
@@ -38,7 +37,7 @@ import reference_maaf
 import reference_maf
 from reference_gen import _grafted_nested
 from reference_tree import restrict, restricted_nested
-from helpers import derived_params, forest_newicks, three_cycle_fixture
+from helpers import derived_params, forest_newicks, nested_tree, three_cycle_fixture
 
 
 def _check_forest(f, trees, seen):
@@ -93,7 +92,7 @@ def _caterpillar(order):
     nested = order[0]
     for lab in order[1:]:
         nested = (nested, lab)
-    return PhyloTree.from_nested(nested)
+    return nested_tree(nested)
 
 
 def _caterpillar_cases():
@@ -182,7 +181,7 @@ def _tangled(idx):
             # half the components go beside the rest (node 0), half inside
             target = rng.below(u.n_nodes) if rng.below(2) else 0
             nested = restricted_nested(c, c.leaf_labels)
-            u = PhyloTree.from_nested(_grafted_nested(u, target, nested))
+            u = nested_tree(_grafted_nested(u, target, nested))
         trees.append(u)
     return f, trees
 

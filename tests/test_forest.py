@@ -11,7 +11,7 @@ from mafkit.forest import steiner_nodes
 from mafkit.tree import split
 
 import reference_tree
-from helpers import forest_newicks
+from helpers import forest_newicks, nested_tree
 from reference_tree import validate
 
 
@@ -153,7 +153,7 @@ def test_cut_edges_matches_nested_reference():
     """``cut_edges`` gives the pieces that ``cut_pieces`` + ``from_nested``
     gave, in the same order and with the same node tables, on random trees
     and caterpillars with n = 1..40 under random and forced cut sets. Each
-    piece is a valid tree and its cached sizes equal a fresh recount."""
+    piece is a valid tree and its sizes equal a fresh recount."""
     checked = 0
     before, after = parse("(x1,x2);"), parse("x3;")
     for n in range(1, 41):
@@ -175,14 +175,23 @@ def test_cut_edges_matches_nested_reference():
     assert checked > 1500
 
 
+def _recount_depths(t):
+    d = [0] * t.n_nodes
+    for u in range(1, t.n_nodes):
+        d[u] = d[t.parent[u]] + 1
+    return d
+
+
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
-def test_from_preorder_matches_nested_builder(n, seed):
-    """A tree rebuilt from its preorder labels, and ``from_nested`` on its
-    nested form, equal the original builder's node tables, with sizes
-    cached right."""
+def test_constructor_matches_nested_builder(n, seed):
+    """``PhyloTree`` on a tree's preorder labels, and ``nested_tree`` on its
+    nested form, equal the original builder's node tables, and their lazy
+    sizes and depths equal recounts."""
     t = random_tree(n, seed)
     nested = reference_tree.fold(t, lambda lab: lab, lambda a, b: (a, b))[0]
     want = reference_tree.from_nested(nested)
-    for got in (PhyloTree.from_preorder(list(t.labels)), PhyloTree.from_nested(nested)):
+    for got in (PhyloTree(list(t.labels)), nested_tree(nested)):
+        assert got._sizes is None and got._depths is None
         assert (got.parent, got.children, got.labels) == (want.parent, want.children, want.labels)
-        assert got._sizes == _recount_sizes(want)
+        assert got.sizes == _recount_sizes(want)
+        assert got.depths == _recount_depths(want)

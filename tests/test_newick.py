@@ -6,7 +6,17 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import NewickError, parse, read_trees, serialize
+from mafkit import (
+    GenSpec,
+    NewickError,
+    PhyloTree,
+    instance,
+    maaf_approx,
+    maf_approx,
+    parse,
+    read_trees,
+    serialize,
+)
 from mafkit.gen import random_tree
 
 import reference_newick
@@ -202,3 +212,37 @@ def test_matches_reference_on_damaged_trees(n, seed, at, ch):
 def test_read_trees_matches_reference_line_numbers(lines):
     text = "\n".join(lines)
     assert _read_outcome(read_trees, text) == _read_outcome(reference_newick.read_trees, text)
+
+
+# ── differential: the label walk against the id-stack writer ───────────
+
+
+def _caterpillar(n):
+    """((t1, t2), t3), ...: every internal node first, then the leaves."""
+    return PhyloTree([None] * (n - 1) + [f"t{i}" for i in range(1, n + 1)])
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
+def test_serialize_matches_reference_on_random_trees(n, seed):
+    t = random_tree(n, seed)
+    assert serialize(t) == reference_newick.serialize(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 20_000])
+def test_serialize_matches_reference_on_caterpillars(n):
+    t = _caterpillar(n)
+    assert t.n_leaves == n
+    assert serialize(t) == reference_newick.serialize(t)
+
+
+def test_serialize_matches_reference_on_every_cut_piece():
+    """Every input tree and every component of the MAF and MAAF forests of
+    a gen n = 120, k = 8, moves = 20 instance, the largest in the cut-heavy
+    benchmark workload."""
+    trees = instance(GenSpec(n=120, k=8, moves=20, seed=0))
+    forest, _ = maf_approx(trees)
+    acyclic, _ = maaf_approx(forest, trees)
+    pieces = [*trees, *forest.components, *acyclic.components]
+    assert len(forest.components) > 10
+    for t in pieces:
+        assert serialize(t) == reference_newick.serialize(t)

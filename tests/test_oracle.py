@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
-    PhyloTree,
     SeededRng,
     cut_edges,
     exact_maaf,
@@ -25,6 +24,7 @@ from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical
 
 import reference_oracle
+from helpers import nested_tree
 
 
 def test_identical_trees_need_zero_cuts():
@@ -171,7 +171,7 @@ def _caterpillar(order):
     nested = order[0]
     for lab in order[1:]:
         nested = (nested, lab)
-    return PhyloTree.from_nested(nested)
+    return nested_tree(nested)
 
 
 def _verdict_cases():

@@ -35,6 +35,8 @@ from mafkit import maaf, maf, tree, triples
 from mafkit.forest import agreement_roots
 from mafkit.gen import spr_move
 
+from helpers import nested_tree
+
 
 def test_maf_n800_k4_under_30s():
     """The pairwise-table search took 80-86 s here; the LCA search under 1 s."""
@@ -57,14 +59,14 @@ def _random_tree(n, seed=1):
         pool.pop()
         j = rng.below(len(pool))
         pool[j] = (pool[j], last)
-    return PhyloTree.from_nested(pool[0])
+    return nested_tree(pool[0])
 
 
 def _caterpillar(n):
     nested = "t1"
     for i in range(2, n + 1):
         nested = (nested, f"t{i}")
-    return PhyloTree.from_nested(nested)
+    return nested_tree(nested)
 
 
 @pytest.mark.parametrize(
@@ -236,22 +238,25 @@ def test_parse_20000_leaves_is_linear_and_iterative(shape):
     assert (back.parent, back.children, back.labels) == (t.parent, t.children, t.labels)
 
 
-def _count_rebuilds(monkeypatch) -> Counter:
-    """Count ``PhyloTree.from_nested`` and ``tree.split`` calls from here on,
-    wherever a ``mafkit`` module holds ``split``."""
+def _count_builds(monkeypatch) -> Counter:
+    """Count ``PhyloTree`` constructions, ``tree.split`` calls and the
+    pieces those calls return, from here on, wherever a ``mafkit`` module
+    holds ``split``."""
     calls = Counter()
-    from_nested = PhyloTree.from_nested.__func__
+    init = PhyloTree.__init__
     split = tree.split
 
-    def counting_nested(cls, nested):
-        calls["from_nested"] += 1
-        return from_nested(cls, nested)
+    def counting_init(self, labels):
+        calls["trees"] += 1
+        init(self, labels)
 
     def counting_split(t, cut_children):
         calls["split"] += 1
-        return split(t, cut_children)
+        pieces = split(t, cut_children)
+        calls["pieces"] += len(pieces)
+        return pieces
 
-    monkeypatch.setattr(PhyloTree, "from_nested", classmethod(counting_nested))
+    monkeypatch.setattr(PhyloTree, "__init__", counting_init)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "mafkit" and hasattr(module, "split"):
             monkeypatch.setattr(module, "split", counting_split)
@@ -260,28 +265,29 @@ def _count_rebuilds(monkeypatch) -> Counter:
 
 def test_instance_builds_each_tree_once(monkeypatch):
     """Counts, not times: the SPR walks run on preorder arrays, so
-    generating gen n = 2000, k = 8, moves = 80 makes no ``from_nested`` or
-    ``split`` call, where rebuilding the tree four times per move took
-    about 5 s. With no moves every tree is the base tree itself."""
-    calls = _count_rebuilds(monkeypatch)
+    generating gen n = 2000, k = 8, moves = 80 builds exactly k = 8 trees
+    and calls ``split`` never, where rebuilding the tree four times per move
+    took about 5 s. With no moves every tree is the base tree itself."""
+    calls = _count_builds(monkeypatch)
     trees = instance(GenSpec(n=2000, k=8, moves=80, seed=42))
     assert len(trees) == 8 and len({t.canonical() for t in trees}) == 8
-    assert not calls, calls
+    assert calls == Counter(trees=8), calls
     trees = instance(GenSpec(n=2000, k=8, moves=0, seed=42))
     assert all(t is trees[0] for t in trees)
 
 
 def test_cuts_build_pieces_without_nested_tuples(monkeypatch):
-    """Every cut piece is built straight from its preorder labels by
-    ``tree.split``: ``maf_approx`` and ``maaf_approx`` on gen n = 300,
-    k = 8, moves = 24 make no ``from_nested`` call, where each cut
-    component used to go through nested tuples and ``from_nested``."""
+    """Every tree built while cutting is a piece that ``tree.split`` returns,
+    straight from its preorder labels: during ``maf_approx`` and
+    ``maaf_approx`` on gen n = 300, k = 8, moves = 24 the constructions
+    equal the pieces, where each cut component used to go through nested
+    tuples and a second builder."""
     trees = instance(GenSpec(n=300, k=8, moves=24, seed=0))
-    calls = _count_rebuilds(monkeypatch)
+    calls = _count_builds(monkeypatch)
     forest, _ = maf_approx(trees)
     acyclic, cycle_cuts = maaf_approx(forest, trees)
     assert cycle_cuts.entries and calls["split"] > 0
-    assert calls["from_nested"] == 0, calls
+    assert calls["trees"] == calls["pieces"], calls
     assert is_agreement_forest(forest, trees) and is_agreement_forest(acyclic, trees)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
-    PhyloTree,
     SeededRng,
     cut_edges,
     instance,
@@ -23,6 +22,7 @@ from mafkit.tree import below, lca_map
 
 import reference_tree
 from reference_tree import restrict
+from helpers import nested_tree
 
 
 @pytest.fixture
@@ -96,7 +96,7 @@ def _caterpillar(order):
     nested = order[0]
     for lab in order[1:]:
         nested = (nested, lab)
-    return PhyloTree.from_nested(nested)
+    return nested_tree(nested)
 
 
 def test_lca_map_matches_fold_reference_on_random_trees_and_caterpillars():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
-    PhyloTree,
     SeededRng,
     cut_edges,
     find_incompatible,
@@ -24,6 +23,7 @@ from mafkit.triples import _realized
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
 from reference_tree import restrict
+from helpers import nested_tree
 
 
 def test_triple_of_reads_the_shape():
@@ -197,7 +197,7 @@ def _caterpillar(order):
     nested = order[0]
     for lab in order[1:]:
         nested = (nested, lab)
-    return PhyloTree.from_nested(nested)
+    return nested_tree(nested)
 
 
 @settings(max_examples=100, deadline=None)
