@@ -15,7 +15,9 @@ for the peak traced memory of the pair. ``gen_s`` is the median over the
 same repeats of building the row's trees (gen or caterpillars), and
 ``parse_s`` of ``read_trees`` on the instance's ``write_trees`` text. Rows
 with n at most ``oracle.HARD_TAXON_CAP`` also get ``exact_s``, the median
-over the same repeats of ``exact_maf`` plus ``exact_maaf``.
+over the same repeats of ``exact_maf`` plus ``exact_maaf``. ``agree_s`` is
+the median over the same repeats of ``is_agreement_forest`` on the row's
+MAF forest, an agreement forest, so every per-tree sweep runs to the end.
 ``--json PATH`` also writes the machine, the Python version and every row to
 PATH.
 """
@@ -89,7 +91,7 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
             trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
         gen_s.append(time.perf_counter() - t0)
     text = write_trees(trees)
-    maf_s, maaf_s, parse_s, exact_s = [], [], [], []
+    maf_s, maaf_s, parse_s, exact_s, agree_s = [], [], [], [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         parsed = read_trees(text)
@@ -105,6 +107,10 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
             exact_maf(trees)
             exact_maaf(trees)
             exact_s.append(time.perf_counter() - t2)
+        t3 = time.perf_counter()
+        agrees = is_agreement_forest(forest, trees)
+        agree_s.append(time.perf_counter() - t3)
+        assert agrees
     assert is_agreement_forest(acyclic, trees)
     assert write_trees(parsed) == text
     tracemalloc.start()
@@ -124,6 +130,7 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
         "maf_s": round(statistics.median(maf_s), 4),
         "maaf_s": round(statistics.median(maaf_s), 4),
         "parse_s": round(statistics.median(parse_s), 6),
+        "agree_s": round(statistics.median(agree_s), 6),
         "peak_mib": round(peak / 2**20, 3),
         "maf_components": forest.size,
         "cut_edges": cuts.edges_removed() + cycle_cuts.edges_removed(),
@@ -148,14 +155,14 @@ def main():
     rows = []
     print(
         f"{'n':>6} {'k':>3} {'gen_s':>8} {'maf_s':>8} {'maaf_s':>8} {'parse_s':>8} "
-        f"{'peak_MiB':>9} {'cuts':>6} {'forest':>7} {'exact_s':>8}"
+        f"{'agree_s':>8} {'peak_MiB':>9} {'cuts':>6} {'forest':>7} {'exact_s':>8}"
     )
     for n in args.sizes:
         row = _row(args.shape, n, args.k, args.moves, args.seed, args.repeats)
         rows.append(row)
         print(
             f"{n:>6} {args.k:>3} {row['gen_s']:>8.3f} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
-            f"{row['parse_s']:>8.4f} {row['peak_mib']:>9.2f} "
+            f"{row['parse_s']:>8.4f} {row['agree_s']:>8.4f} {row['peak_mib']:>9.2f} "
             f"{row['cut_edges']:>6} {row['maaf_components']:>7} "
             f"{row.get('exact_s', '-'):>8}"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import PhyloTree, lca, partition_forms, split
+from .tree import PhyloTree, lca, partition_tops, split
 
 
 @dataclass(frozen=True)
@@ -130,30 +130,33 @@ def agreement_roots(f: Forest, trees) -> list | None:
     is not an agreement forest of the trees; raises ValueError as
     ``is_agreement_forest`` does.
 
-    One ``partition_forms`` sweep per tree decides both conditions for all
-    components at once and finds the roots on the way, since each block
-    closes at its lca. Call a component open at a node when some but not
-    all of its taxa lie below it; its embedding then holds the node's parent.
-    So a node whose two children carry different open components lies on
-    both embeddings, and the sweep stops there. Conversely, two embeddings
-    that share a node leave both components open at one node (the shared
-    node when it is below both lcas, else a child of it). A node with two
-    open components has them open at different children, where the sweep
-    stops, or both at one child, and so on down. Otherwise every node
-    carries at most its one open component, each component's taxa meet only
-    each other on the way up to their lca, and the form built there is the
-    component's restriction into the tree, which must equal
-    ``comp.canonical()``.
+    One ``partition_tops`` sweep per tree decides both conditions for all
+    components on node ids, and finds each root where its component closes.
+    A tree node carries component b at node v of b when some but not all of
+    b's taxa lie below it (b is *open* there) and they are v's cluster. The
+    sweep stops at the first join of two carries that does not merge two
+    siblings of one component, and either failure forces such a join:
+
+    - Overlap. An open component's embedding holds the node's parent. Two
+      embeddings that share a node leave both components open at one node
+      (the shared node when it is below both lcas, else a child of it),
+      and from there down, both are open at one child until they are open
+      at different children, where carries of two components meet.
+    - Restriction. Where b's carries at v and w meet, b's taxa below, a
+      cluster of the restriction, are the union of v's and w's disjoint
+      clusters. A cluster of b holding both holds that of their lca in b,
+      which is larger unless v and w are siblings. If every join merges
+      siblings, the restriction's clusters (the carried ones, b's leaves
+      and all of b's taxa) are b's. Both trees are binary on b's L taxa,
+      with 2L - 1 clusters each, so their clusters, and so the trees, agree.
     """
     f.check_taxa(trees)
     comps = f.components
     block_of = {lab: ci for ci, comp in enumerate(comps) for lab in comp.label_node}
-    sizes = [comp.n_leaves for comp in comps]
-    forms = [comp.canonical() for comp in comps]
     per_tree = []
     for t in trees:
-        swept = partition_forms(t, block_of, sizes)
-        if swept is None or swept[0] != forms:
+        tops = partition_tops(t, comps, block_of)
+        if tops is None:
             return None
-        per_tree.append(swept[1])
+        per_tree.append(tops)
     return list(zip(*per_tree))

@@ -46,12 +46,13 @@ sorting the mapped roots by preorder id and keeping a stack of those whose
 subtree holds the current one.
 
 Each component's mapped roots are found once. Those of the forest handed in
-come from its agreement check, whose sweep closes each component at its
-root (``agreement_roots``); only the four pieces of each cycle cut go
-through ``mapped_roots``. Acyclicity is decided on entry and after each
-round without the transitive digraph (``_acyclic``): the same stack sweep
-links each mapped root to its nearest mapped strict ancestor only, and those
-at most k * m cover edges have the same reachability, so Kahn's algorithm
+come from its agreement check (``agreement_roots``): one string-free sweep
+per tree merges sibling nodes of each component on node ids and closes the
+component at its lca. Only the four pieces of each cycle cut go through
+``mapped_roots``. Acyclicity is decided on entry and after each round
+without the transitive digraph (``_acyclic``): the same stack sweep links
+each mapped root to its nearest mapped strict ancestor only, and those at
+most k * m cover edges have the same reachability, so Kahn's algorithm
 peels every component iff the digraph is acyclic. A forest acyclic on entry
 is returned at once. The digraph and ``find_cycle`` run only on a cycle that
 survived the pairwise loop, to pick it and its witness tree.

@@ -24,9 +24,9 @@ per subset of the taxa: at most 2^16 bytes (64 KiB) under the taxon cap. In
 each input tree, a piece's embedding below its lca is the union of its
 leaves' root paths (node bitmasks) minus their intersection, and two pieces
 overlap exactly when these masks share a bit. Only a subset that passes both
-tests becomes a ``Forest`` (for the acyclic variant, its component digraph
-decides), and the winner is confirmed by ``is_agreement_forest`` before it
-is returned; a winner it rejects raises RuntimeError.
+tests becomes a ``Forest``, which ``agreement_roots`` must confirm (else
+RuntimeError); for the acyclic variant, its mapped roots then decide
+``maaf._acyclic`` on cover edges, with no component digraph.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .forest import Forest, check_input_trees, cut_edges, is_agreement_forest
-from .maaf import build_gf, is_acyclic
+from .forest import Forest, agreement_roots, check_input_trees, cut_edges
+from .maaf import _acyclic
 from .tree import fold
 
 HARD_TAXON_CAP = 16
@@ -144,10 +144,11 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
             if not agrees(subset):
                 continue
             candidate = cut_edges(start, subset)
-            if acyclic and not is_acyclic(build_gf(candidate, trees, validate=False)):
-                continue
-            if not is_agreement_forest(candidate, trees):
+            roots = agreement_roots(candidate, trees)
+            if roots is None:
                 raise RuntimeError(f"cutting {subset} passed the partition test only")
+            if acyclic and not _acyclic(roots, trees):
+                continue
             return OracleResult(size, candidate, subset)
     return None
 

@@ -23,9 +23,9 @@ once. Only the constructor writes the ``parent`` and ``children`` arrays.
 per leaf and a join per internal node. Two sweeps stay plain loops because
 they are hot and a callback per node measurably slows them: ``lca_map``
 (each component's map into an input tree, from which the triple phase reads
-both cleanliness and conflicts) and ``partition_forms`` (canonical forms,
-and the agreement check and mapped roots for all components of a forest at
-once).
+both cleanliness and conflicts) and ``partition_tops`` (the agreement check
+and mapped roots for all components of a forest at once, by sibling merges
+on node ids). Neither builds a string.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class PhyloTree:
 
     __slots__ = (
         "parent", "children", "labels",
-        "_canonical", "_label_node", "_depths", "_sizes",
+        "_label_node", "_depths", "_sizes",
     )
 
     root = 0
@@ -61,7 +61,8 @@ class PhyloTree:
         One forward sweep fills the links. A node right after an internal
         node is its left child, stored bare until the right child arrives
         and makes the pair; any other node is the right child of the
-        innermost internal node still waiting for one.
+        innermost internal node still waiting for one. Labels of no single
+        binary tree raise ValueError, duplicate taxa once ``label_node`` is.
         """
         n = len(labels)
         parent = [-1] * n
@@ -76,15 +77,18 @@ class PhyloTree:
                 p = waiting.pop()
                 parent[u] = p
                 children[p] = (children[p], u)
+            elif u:
+                raise ValueError(f"node {u} comes after the tree is complete")
             if label is None:
                 waiting.append(u)
                 opened = u
             else:
                 opened = None
+        if waiting or not n:
+            raise ValueError(f"internal node {waiting[-1]} lacks a child" if n else "no labels")
         self.parent = parent
         self.children = children
         self.labels = labels
-        self._canonical = None
         self._label_node = None
         self._depths = None
         self._sizes = None
@@ -103,9 +107,10 @@ class PhyloTree:
     def label_node(self) -> dict:
         """Taxon name -> leaf node id."""
         if self._label_node is None:
-            self._label_node = {
-                lab: u for u, lab in enumerate(self.labels) if lab is not None
-            }
+            node = {lab: u for u, lab in enumerate(self.labels) if lab is not None}
+            if len(node) != self.n_leaves:
+                raise ValueError("duplicate taxa among the leaf labels")
+            self._label_node = node
         return self._label_node
 
     @property
@@ -132,15 +137,6 @@ class PhyloTree:
                 s[self.parent[u]] += s[u]
             self._sizes = s
         return self._sizes
-
-    def canonical(self) -> str:
-        """Order-independent canonical form; equal iff the trees are
-        isomorphic as rooted leaf-labeled trees."""
-        if self._canonical is None:
-            self._canonical = partition_forms(
-                self, dict.fromkeys(self.label_node, 0), (self.n_leaves,)
-            )[0][0]
-        return self._canonical
 
     def __repr__(self):
         return f"<PhyloTree leaves={self.n_leaves}>"
@@ -233,15 +229,12 @@ def fold(t: PhyloTree, leaf, join) -> list:
 
 def restricted_canonical(t: PhyloTree, taxa) -> str:
     """Canonical form of ``t`` restricted to ``taxa``, without building
-    the restricted tree.
+    the restricted tree; equal forms mean isomorphic restrictions.
 
-    No longer on any hot path: the triple phase reads cleanliness off the
-    component's ``lca_map`` (``triples._realized``), which costs
-    O(|component|) where this sweep costs O(|t|), and the exact search
-    compares cluster masks. It stays as the reference the tests compare
-    both against, and for the benchmark's ``tree.restricted_canonical``
-    span. A node's children are released once its form is built, so a
-    caterpillar keeps O(n) characters alive instead of O(n * depth).
+    On no ``mafkit`` path: it stays as the tests' reference and for the
+    benchmark's ``tree.restricted_canonical`` span. A node's children are
+    released once its form is built, so a caterpillar keeps O(n)
+    characters alive instead of O(n * depth).
     """
     keep = taxa if isinstance(taxa, frozenset) else frozenset(taxa)
     children = t.children
@@ -268,58 +261,59 @@ def restricted_canonical(t: PhyloTree, taxa) -> str:
     return red[t.root]
 
 
-def partition_forms(t: PhyloTree, block_of: dict, sizes) -> tuple | None:
-    """Restricted canonical form and lca of every block of a partition of
-    ``t``'s taxa, in one bottom-up sweep: ``(forms, tops)`` with both lists
-    indexed by block, or None when two blocks' embeddings share a node.
+def partition_tops(t: PhyloTree, comps, block_of: dict) -> list | None:
+    """The lca in ``t`` of each of ``comps``' taxa (``block_of`` maps a
+    taxon to its component's index), or None unless every component is
+    the restriction of ``t`` to its taxa, with disjoint embeddings.
 
-    ``block_of`` maps each taxon to its block index and ``sizes[b]`` is the
-    number of taxa in block b. A node carries the one block that is *open*
-    there (some but not all of its taxa below), with that block's count and
-    form so far; the block *closes* at its lca, where its count reaches its
-    size, and ``tops[b]`` is that node (a singleton block closes at its
-    leaf). Two children carrying different open blocks put their parent on
-    both embeddings. Forms are built as in ``restricted_canonical`` and a
-    node's children are released once its own carry is set.
+    A node carries at most one open component b with the node of b whose
+    cluster is b's taxa below; a leaf carries its own leaf. Two carries may
+    meet only as siblings of one b, and move up to their parent; b closes
+    at its root 0 (a singleton at its leaf). ``forest.agreement_roots``
+    gives the argument.
     """
     children = t.children
     labels = t.labels
-    forms = [None] * len(sizes)
-    tops = [0] * len(sizes)
-    carry = [None] * t.n_nodes  # (block, taxa below, form) of the open block
+    nodes = [c.label_node for c in comps]
+    parents = [c.parent for c in comps]
+    tops = [0] * len(comps)
+    open_comp = [-1] * t.n_nodes  # the component each node carries, or -1
+    at = [0] * t.n_nodes  # the carried component's node
     for u in range(t.n_nodes - 1, -1, -1):
         ks = children[u]
         if not ks:
             lab = labels[u]
             b = block_of[lab]
-            if sizes[b] == 1:
-                forms[b] = lab
+            v = nodes[b][lab]
+            if v:
+                open_comp[u] = b
+                at[u] = v
+            else:  # leaf 0: a singleton component
                 tops[b] = u
-            else:
-                carry[u] = (b, 1, lab)
             continue
         left, right = ks
-        x = carry[left]
-        y = carry[right]
-        carry[left] = carry[right] = None
-        if x is None:
-            carry[u] = y
-        elif y is None:
-            carry[u] = x
-        elif x[0] != y[0]:
+        b = open_comp[left]
+        c = open_comp[right]
+        if c < 0:
+            if b >= 0:
+                open_comp[u] = b
+                at[u] = at[left]
+        elif b < 0:
+            open_comp[u] = c
+            at[u] = at[right]
+        elif b != c:
             return None
         else:
-            fx, fy = x[2], y[2]
-            if fy < fx:
-                fx, fy = fy, fx
-            form = "(%s,%s)" % (fx, fy)
-            count = x[1] + y[1]
-            if count == sizes[x[0]]:
-                forms[x[0]] = form
-                tops[x[0]] = u
+            par = parents[b]
+            p = par[at[left]]
+            if p != par[at[right]]:
+                return None
+            if p:
+                open_comp[u] = b
+                at[u] = p
             else:
-                carry[u] = (x[0], count, form)
-    return forms, tops
+                tops[b] = u
+    return tops
 
 
 def split(t: PhyloTree, cut_children) -> list:

@@ -2,6 +2,7 @@
 forest comparison and a three-cycle forest."""
 
 from mafkit import Forest, GenSpec, PhyloTree, SeededRng, parse, serialize
+from mafkit.tree import restricted_canonical
 
 from reference_gen import _grafted_nested
 
@@ -44,9 +45,15 @@ def all_topologies(labels):
     return shapes
 
 
+def canonical(t) -> str:
+    """Order-independent canonical form of ``t``: equal iff the trees are
+    isomorphic as rooted leaf-labeled trees."""
+    return restricted_canonical(t, t.label_node)
+
+
 def forest_canon(forest):
     """Order-free fingerprint of a forest: sorted component canonical forms."""
-    return tuple(sorted(c.canonical() for c in forest.components))
+    return tuple(sorted(canonical(c) for c in forest.components))
 
 
 def forest_newicks(forest):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from mafkit.forest import Forest, steiner_nodes
 from mafkit.tree import restricted_canonical
 
+from helpers import canonical
+
 
 def is_agreement_forest(f: Forest, trees) -> bool:
     """Decide whether ``f`` is an agreement forest of the given trees.
@@ -24,7 +26,7 @@ def is_agreement_forest(f: Forest, trees) -> bool:
     comp_labels = [comp.leaf_labels for comp in f.components]
     for t in trees:
         for comp, labs in zip(f.components, comp_labels):
-            if restricted_canonical(t, labs) != comp.canonical():
+            if restricted_canonical(t, labs) != canonical(comp):
                 return False
     for t in trees:
         owner: dict[int, int] = {}

@@ -18,6 +18,8 @@ from mafkit import Forest, PhyloTree, Triple
 from mafkit.tree import below, lca, restricted_canonical
 from mafkit.triples import TripleCuts, _resolves
 
+from helpers import canonical
+
 
 def _below_table(t: PhyloTree) -> list:
     """Per node, the taxon names at or below it, in preorder."""
@@ -115,7 +117,7 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
     for ci, comp in enumerate(f.components):
         if comp.n_leaves < 3:
             continue
-        if restricted_canonical(t_i, comp.leaf_labels) == comp.canonical():
+        if restricted_canonical(t_i, comp.leaf_labels) == canonical(comp):
             continue
         cand = _deepest_conflict(comp, ci, resolver)
         if best is None or cand.taxa_key() < best.taxa_key():

@@ -30,14 +30,14 @@ from mafkit import (
 from mafkit import maaf, maf
 from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import random_tree, spr_move
-from mafkit.tree import partition_forms, restricted_canonical
+from mafkit.tree import lca, partition_tops, restricted_canonical
 
 import reference_forest
 import reference_maaf
 import reference_maf
 from reference_gen import _grafted_nested
 from reference_tree import restrict, restricted_nested
-from helpers import derived_params, forest_newicks, nested_tree, three_cycle_fixture
+from helpers import canonical, derived_params, forest_newicks, nested_tree, three_cycle_fixture
 
 
 def _check_forest(f, trees, seen):
@@ -245,7 +245,7 @@ def _halves(f, trees):
     """(every component restricts to itself, embeddings pairwise disjoint)
     in every tree: the two conditions the agreement check combines."""
     forms = all(
-        restricted_canonical(t, c.leaf_labels) == c.canonical()
+        restricted_canonical(t, c.leaf_labels) == canonical(c)
         for t in trees
         for c in f.components
     )
@@ -279,7 +279,9 @@ def _random_cases(idx):
 
 
 def test_agreement_check_matches_reference_on_random_forests():
-    seen = dict.fromkeys(("agree", "overlap only", "form mismatch only", "both"), 0)
+    seen = dict.fromkeys(
+        ("agree", "overlap only", "form mismatch only", "both", "tree: form mismatch only"), 0
+    )
     for idx in range(400):
         for f, trees in _random_cases(idx):
             got = is_agreement_forest(f, trees)
@@ -287,9 +289,15 @@ def test_agreement_check_matches_reference_on_random_forests():
             forms, disjoint = _halves(f, trees)
             assert got == (forms and disjoint)
             for t in trees:
-                # the sweep itself reports overlaps, not only via the forms
-                swept = partition_forms(t, _block_of(f), [c.n_leaves for c in f.components])
-                assert (swept is None) == (not _disjoint(f, t))
+                # per tree, the sweep stops iff either half fails there, and
+                # otherwise closes each component at its lca
+                tops = partition_tops(t, f.components, _block_of(f))
+                halves = _halves(f, [t])
+                if halves == (True, True):
+                    assert tops == [lca(t, c.label_node) for c in f.components]
+                else:
+                    assert tops is None
+                seen["tree: form mismatch only"] += halves == (False, True)
             kind = {
                 (True, True): "agree",
                 (True, False): "overlap only",

@@ -24,7 +24,7 @@ from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical
 
 import reference_oracle
-from helpers import nested_tree
+from helpers import canonical, nested_tree
 
 
 def test_identical_trees_need_zero_cuts():
@@ -127,7 +127,7 @@ def test_witness_size_matches_cut_count(seed):
 def _result_key(res):
     if res is None:
         return None
-    forms = tuple(c.canonical() for c in res.witness_forest.components)
+    forms = tuple(canonical(c) for c in res.witness_forest.components)
     return res.min_cuts, res.witness_edges, forms
 
 
@@ -229,6 +229,6 @@ def test_leaf_set_verdict_matches_restricted_canonical():
 def test_winner_is_rechecked(monkeypatch):
     """The partition test never decides alone: a winner the full agreement
     check rejects is an error, not a result."""
-    monkeypatch.setattr(oracle, "is_agreement_forest", lambda f, trees: False)
+    monkeypatch.setattr(oracle, "agreement_roots", lambda f, trees: None)
     with pytest.raises(RuntimeError, match="partition test"):
         exact_maf([parse("((a,b),c);"), parse("((a,c),b);")])

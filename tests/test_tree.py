@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from mafkit import (
     Forest,
     GenSpec,
+    PhyloTree,
     SeededRng,
     cut_edges,
     instance,
@@ -22,7 +23,7 @@ from mafkit.tree import below, lca_map
 
 import reference_tree
 from reference_tree import restrict
-from helpers import nested_tree
+from helpers import canonical, nested_tree
 
 
 @pytest.fixture
@@ -40,6 +41,36 @@ def test_lca_cases(cherry3):
 def test_lca_unknown_taxon(cherry3):
     with pytest.raises(ValueError):
         lca(cherry3, {"a", "zz"})
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([], "no labels"),
+        ([None], "internal node 0 lacks a child"),
+        ([None, "a"], "internal node 0 lacks a child"),
+        ([None, None, "a", "b"], "internal node 0 lacks a child"),
+        (["a", "b"], "node 1 comes after the tree is complete"),
+        ([None, "a", "b", "c"], "node 3 comes after the tree is complete"),
+    ],
+)
+def test_constructor_rejects_labels_of_no_single_binary_tree(labels, message):
+    """Such lists once built silently: ``[None, "a"]`` left a bare int in
+    ``children`` and wrote "(a,;", ``["a", "b"]`` had two roots and wrote
+    "ab;", and ``[None, "a", "b", "c"]`` claimed 2 leaves over 3 taxa, which
+    ``maf_approx`` returned as a forest."""
+    with pytest.raises(ValueError, match=message):
+        PhyloTree(labels)
+
+
+def test_duplicate_taxa_raise_once_indexed():
+    t = PhyloTree([None, "a", "a"])
+    with pytest.raises(ValueError, match="duplicate taxa"):
+        t.label_node
+    with pytest.raises(ValueError, match="duplicate taxa"):
+        maf_approx([t, t])
+    assert serialize(PhyloTree(["a"])) == "a;"
+    assert PhyloTree([None, "a", "b"]).label_node == {"a": 1, "b": 2}
 
 
 def test_restrict_cases():
@@ -62,7 +93,7 @@ def test_restricted_canonical_matches_two_step_route(n, seed):
     t = random_tree(n, seed)
     labs = sorted(t.leaf_labels)
     keep = set(labs[:: 2] or labs[:1])
-    assert restricted_canonical(t, keep) == restrict(t, keep).canonical()
+    assert restricted_canonical(t, keep) == canonical(restrict(t, keep))
 
 
 @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=10**6))
@@ -72,7 +103,7 @@ def test_restrict_idempotent(n, seed):
     keep = set(labs[: max(1, n // 2)])
     once = restrict(t, keep)
     twice = restrict(once, keep)
-    assert once.canonical() == twice.canonical()
+    assert canonical(once) == canonical(twice)
     assert once.leaf_labels == frozenset(keep)
 
 

@@ -23,7 +23,7 @@ from mafkit.triples import _realized
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
 from reference_tree import restrict
-from helpers import nested_tree
+from helpers import canonical, nested_tree
 
 
 def test_triple_of_reads_the_shape():
@@ -177,8 +177,8 @@ def _assert_matches_reference(trees):
             assert got == ref.find_incompatible(forest, t)
             if got is not None:
                 assert locate_cuts(forest, got, t) == ref.locate_cuts(forest, got, t)
-    assert [c.canonical() for c in forest.components] == [
-        c.canonical() for c in final.components
+    assert [canonical(c) for c in forest.components] == [
+        canonical(c) for c in final.components
     ]
 
 
@@ -232,8 +232,8 @@ def _restricted_pairs(trees, rng, count):
 def _assert_realized_iff_same_restriction(pairs):
     verdicts = {True: 0, False: 0}
     for comp, t in pairs:
-        want = restricted_canonical(t, comp.leaf_labels) == comp.canonical()
-        assert _realized(comp, lca_map(comp, t)) == want, (comp.canonical(), t.canonical())
+        want = restricted_canonical(t, comp.leaf_labels) == canonical(comp)
+        assert _realized(comp, lca_map(comp, t)) == want, (canonical(comp), canonical(t))
         verdicts[want] += 1
     return verdicts
 
