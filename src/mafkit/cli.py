@@ -40,11 +40,11 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_trees(path: str, at_least: int = 2):
+def _load_trees(path: str):
     text = _read_input(path)
     trees = read_trees(text)
-    if len(trees) < at_least:
-        raise ValueError(f"need at least {at_least} trees, file has {len(trees)}")
+    if len(trees) < 2:
+        raise ValueError(f"need at least 2 trees, file has {len(trees)}")
     return text, trees
 
 
@@ -103,14 +103,13 @@ def _log_cuts(cuts: CutSet) -> None:
 
 
 def _report_skeleton(command: str, text: str, trees) -> dict:
-    taxa = trees[0].leaf_labels if trees else frozenset()
     return {
         "schema": SCHEMA,
         "command": command,
         "input": {
             "digest": _digest(text),
             "trees": len(trees),
-            "taxa": len(taxa),
+            "taxa": len(trees[0].leaf_labels),
         },
     }
 

@@ -150,6 +150,7 @@ def agreement_roots(f: Forest, trees) -> list | None:
       and all of b's taxa) are b's. Both trees are binary on b's L taxa,
       with 2L - 1 clusters each, so their clusters, and so the trees, agree.
     """
+    trees = list(trees)
     f.check_taxa(trees)
     comps = f.components
     block_of = {lab: ci for ci, comp in enumerate(comps) for lab in comp.label_node}

@@ -99,6 +99,7 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     only guaranteed distinct in that case — and takes the mapped roots from
     that check's sweep.
     """
+    trees = list(trees)
     if validate:
         roots = agreement_roots(f, trees)
         if roots is None:
@@ -217,6 +218,7 @@ def maaf_approx(f: Forest, trees) -> tuple:
     pieces after the first's. Raises ValueError unless ``f`` is an agreement
     forest of the trees.
     """
+    trees = list(trees)
     found = agreement_roots(f, trees)
     if found is None:
         raise ValueError("not an agreement forest of the given trees")

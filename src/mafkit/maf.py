@@ -73,14 +73,13 @@ class CutSet:
 class OverlapWitness:
     """Two components whose embeddings in one input tree share a node.
 
-    ``meet_node`` is a deepest shared node of the two embeddings in that
-    tree. ``edge_x`` / ``edge_y`` are the selected cut edges (child node
-    ids) inside components ``x`` and ``y``.
+    ``edge_x`` / ``edge_y`` are the selected cut edges (child node ids)
+    inside components ``x`` and ``y``, both chosen at a deepest shared node
+    of the two embeddings in that tree.
     """
 
     x: int
     y: int
-    meet_node: int
     edge_x: int
     edge_y: int
 
@@ -124,7 +123,6 @@ def find_overlap(f: Forest, t_i: PhyloTree, sets=None):
     return OverlapWitness(
         x=x,
         y=y,
-        meet_node=meet,
         edge_x=_overlap_cut_edge(comps[x], t_i, meet),
         edge_y=_overlap_cut_edge(comps[y], t_i, meet),
     )

@@ -78,7 +78,6 @@ class TripleCuts:
     (the parent edge of leaf c in the worst case).
     """
 
-    host: int
     edge_a: int
     edge_b: int
     edge_c: int
@@ -240,7 +239,6 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:
         node = child_toward(node, c_node)
 
     return TripleCuts(
-        host=tr.host,
         edge_a=edge_a,
         edge_b=edge_b,
         edge_c=node,

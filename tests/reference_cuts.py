@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from mafkit import PhyloTree, lca
+from mafkit import PhyloTree
+from mafkit.tree import lca
 
 from reference_triples import _below_table
 

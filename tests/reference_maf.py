@@ -18,23 +18,27 @@ from mafkit.tree import PhyloTree
 from mafkit.triples import find_incompatible, locate_cuts
 
 
+def deepest_shared(t_i: PhyloTree, a: set, b: set):
+    """A deepest node of ``t_i`` in both node sets, ties to the smaller id,
+    or None when they are disjoint: where an overlap's cuts are chosen."""
+    depths = t_i.depths
+    return max(a & b, key=lambda nd: (depths[nd], -nd), default=None)
+
+
 def find_overlap(f: Forest, t_i: PhyloTree):
     """First pair of components (in index order) whose minimal connecting
     subtrees in ``t_i`` share a node, or None when all embeddings are
     pairwise disjoint. Single-leaf components embed as bare leaves and can
     never overlap anything."""
     stein = [steiner_nodes(t_i, comp.leaf_labels) for comp in f.components]
-    depths = t_i.depths
     for x in range(f.size):
         for y in range(x + 1, f.size):
-            shared = stein[x] & stein[y]
-            if not shared:
+            meet = deepest_shared(t_i, stein[x], stein[y])
+            if meet is None:
                 continue
-            meet = max(shared, key=lambda nd: (depths[nd], -nd))
             return OverlapWitness(
                 x=x,
                 y=y,
-                meet_node=meet,
                 edge_x=_overlap_cut_edge(f.components[x], t_i, meet),
                 edge_y=_overlap_cut_edge(f.components[y], t_i, meet),
             )

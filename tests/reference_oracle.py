@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from mafkit import Forest, build_gf, cut_edges, is_acyclic, is_agreement_forest
-from mafkit.forest import check_input_trees as _check_inputs
+from mafkit import Forest, build_gf, is_agreement_forest
+from mafkit.forest import check_input_trees as _check_inputs, cut_edges
+from mafkit.maaf import is_acyclic
 from mafkit.oracle import HARD_TAXON_CAP, OracleResult
 
 

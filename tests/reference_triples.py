@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import functools
 
-from mafkit import Forest, PhyloTree, Triple
+from mafkit import Forest, PhyloTree
 from mafkit.tree import below, lca, restricted_canonical
-from mafkit.triples import TripleCuts, _resolves
+from mafkit.triples import Triple, TripleCuts, _resolves
 
 from helpers import canonical
 
@@ -202,7 +202,6 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     edge_c = node
 
     return TripleCuts(
-        host=tr.host,
         edge_a=edge_a,
         edge_b=edge_b,
         edge_c=edge_c,

@@ -17,18 +17,18 @@ from mafkit import (
     GenSpec,
     SeededRng,
     build_gf,
-    cut_edges,
     exact_maaf,
     exact_maf,
     exact_rspr,
     instance,
-    is_acyclic,
     is_agreement_forest,
     maaf_approx,
     maf_approx,
 )
 from mafkit.cli import main
+from mafkit.forest import cut_edges
 from mafkit.gen import random_tree
+from mafkit.maaf import is_acyclic
 from mafkit.tree import _lca2
 
 from helpers import all_topologies, canonical, derived_params, forest_canon, forest_newicks

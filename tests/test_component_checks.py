@@ -20,16 +20,15 @@ from mafkit import (
     GenSpec,
     SeededRng,
     build_gf,
-    cut_edges,
-    find_overlap,
     instance,
     is_agreement_forest,
     maaf_approx,
     maf_approx,
 )
 from mafkit import maaf, maf
-from mafkit.forest import agreement_roots, steiner_nodes
+from mafkit.forest import agreement_roots, cut_edges, steiner_nodes
 from mafkit.gen import random_tree, spr_move
+from mafkit.maf import find_overlap
 from mafkit.tree import lca, partition_tops, restricted_canonical
 
 import reference_forest

@@ -16,10 +16,10 @@ must cut ``((xi, 1), (yi, 1))``.
 
 import itertools
 
-from mafkit import Forest, GenSpec, SeededRng, cut_edges, instance, lca, maaf_approx, maf_approx
-from mafkit.forest import steiner_nodes
+from mafkit import Forest, GenSpec, SeededRng, instance, maaf_approx, maf_approx
+from mafkit.forest import cut_edges, steiner_nodes
 from mafkit.maf import _overlap_cut_edge
-from mafkit.tree import below
+from mafkit.tree import below, lca
 
 import reference_cuts as ref
 

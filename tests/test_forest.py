@@ -5,9 +5,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import Forest, PhyloTree, SeededRng, cut_edges, is_agreement_forest, parse
+from mafkit import Forest, PhyloTree, SeededRng, is_agreement_forest, parse
 from mafkit.gen import random_tree
-from mafkit.forest import steiner_nodes
+from mafkit.forest import cut_edges, steiner_nodes
 from mafkit.tree import split
 
 import reference_tree

@@ -7,20 +7,21 @@ from mafkit import (
     GenSpec,
     SeededRng,
     build_gf,
+    exact_maf,
     hybridization_upper_bound,
     instance,
-    is_acyclic,
     is_agreement_forest,
     maaf_approx,
     maf_approx,
     parse,
-    rspr_upper_bound,
 )
-from mafkit.maaf import ForestDigraph, find_cycle
+from mafkit.forest import cut_edges
+from mafkit.maaf import ForestDigraph, find_cycle, is_acyclic
+from mafkit.maf import rspr_upper_bound
 from mafkit.oracle import exact_hybridization
 
 import reference_maaf
-from helpers import forest_canon, three_cycle_fixture
+from helpers import forest_canon, forest_newicks, three_cycle_fixture
 
 
 def two_cycle_fixture():
@@ -119,7 +120,7 @@ def test_maaf_breaks_the_two_cycle_with_one_entry():
 
 def test_cycle_cut_that_removes_no_edge_raises(monkeypatch):
     """A cycle cut that stops shrinking the forest must error, not loop."""
-    from mafkit import cut_edges, maf
+    from mafkit import maf
 
     f, trees = two_cycle_fixture()
     monkeypatch.setattr(
@@ -218,7 +219,6 @@ _CYCLIC_CASES = [
 def test_cycle_cuts_lower_the_acyclic_optimum(n, k, moves, seed):
     """Each cycle-cut pair drops the exact cuts-to-acyclic-forest count by
     at least one. Empirical spot check on pinned instances."""
-    from mafkit import cut_edges
     from mafkit.oracle import exact_maaf_forest
 
     trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
@@ -230,3 +230,39 @@ def test_cycle_cuts_lower_the_acyclic_optimum(n, k, moves, seed):
         forest = cut_edges(forest, entry.edges)
         after = exact_maaf_forest(forest, trees).min_cuts
         assert after <= before - 1
+
+
+def _plain(out):
+    """A forest and its cut log as values that ``==`` compares."""
+    forest, cuts = out
+    return forest_newicks(forest), cuts.entries
+
+
+_ONE_SHOT_ENTRIES = {
+    "is_agreement_forest": lambda ts, trees: is_agreement_forest(Forest.from_tree(trees[0]), ts),
+    "build_gf": lambda ts, trees: build_gf(maf_approx(trees)[0], ts),
+    "build_gf_unvalidated": lambda ts, trees: build_gf(maf_approx(trees)[0], ts, validate=False),
+    "maaf_approx": lambda ts, trees: _plain(maaf_approx(maf_approx(trees)[0], ts)),
+    "maf_approx": lambda ts, trees: _plain(maf_approx(ts)),
+    "hybridization_upper_bound": lambda ts, trees: hybridization_upper_bound(ts),
+    "exact_maf": lambda ts, trees: exact_maf(ts).witness_edges,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ONE_SHOT_ENTRIES))
+@pytest.mark.parametrize(
+    "trees",
+    [
+        [parse("((a,b),c);"), parse("((a,c),b);")],
+        instance(GenSpec(*_CYCLIC_CASES[0])),
+    ],
+    ids=["triple", "cyclic"],
+)
+def test_entries_read_a_one_shot_iterable_once(entry, trees):
+    """Each entry lists its trees once, so an iterator of them gives the
+    same result as their list; the first tree is an agreement forest of
+    neither case, so ``is_agreement_forest`` is False on both."""
+    run = _ONE_SHOT_ENTRIES[entry]
+    expected = run(trees, trees)
+    assert run(iter(trees), trees) == expected
+    assert entry != "is_agreement_forest" or expected is False

@@ -7,19 +7,19 @@ from mafkit import (
     Forest,
     GenSpec,
     SeededRng,
-    cut_edges,
     exact_maf,
-    find_overlap,
     instance,
     is_agreement_forest,
     maf_approx,
     parse,
-    rspr_upper_bound,
 )
 from mafkit import maf
+from mafkit.forest import cut_edges, steiner_nodes
+from mafkit.maf import find_overlap, rspr_upper_bound
 from mafkit.oracle import exact_maf_forest
 
 from helpers import forest_canon
+from reference_maf import deepest_shared
 
 
 def test_no_overlap_with_leaf_component():
@@ -35,7 +35,7 @@ def test_overlap_through_shared_spine():
     assert (ow.x, ow.y) == (0, 1)
     # deepest shared node of the two embeddings (both pass through the root;
     # the cherries below are shared too and win on depth)
-    assert ow.meet_node == 1
+    assert deepest_shared(t, steiner_nodes(t, "ab"), steiner_nodes(t, "cd")) == 1
     assert ow.edge_x == 1  # leaf a within component (a,b)
     assert ow.edge_y == 1  # leaf c within component (c,d)
 

@@ -9,7 +9,6 @@ from mafkit import (
     Forest,
     GenSpec,
     SeededRng,
-    cut_edges,
     exact_maaf,
     exact_maf,
     exact_rspr,
@@ -19,6 +18,7 @@ from mafkit import (
     parse,
 )
 from mafkit import oracle
+from mafkit.forest import cut_edges
 from mafkit.gen import random_tree, spr_move
 from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical

@@ -26,14 +26,13 @@ from mafkit import (
     is_agreement_forest,
     maaf_approx,
     maf_approx,
-    mapped_roots,
     parse,
     serialize,
-    steiner_nodes,
 )
 from mafkit import maaf, maf, tree, triples
-from mafkit.forest import agreement_roots
+from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import spr_move
+from mafkit.maaf import mapped_roots
 
 from helpers import canonical, nested_tree
 

@@ -10,16 +10,15 @@ from mafkit import (
     GenSpec,
     PhyloTree,
     SeededRng,
-    cut_edges,
     instance,
-    lca,
     maaf_approx,
     maf_approx,
     parse,
     serialize,
 )
+from mafkit.forest import cut_edges
 from mafkit.gen import random_tree
-from mafkit.tree import below, lca_map
+from mafkit.tree import below, lca, lca_map
 
 import reference_tree
 from reference_tree import restrict

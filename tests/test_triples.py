@@ -9,16 +9,14 @@ from mafkit import (
     Forest,
     GenSpec,
     SeededRng,
-    cut_edges,
-    find_incompatible,
     instance,
-    locate_cuts,
     maf_approx,
     parse,
 )
+from mafkit.forest import cut_edges
 from mafkit.gen import spr_move
 from mafkit.tree import below, lca_map, restricted_canonical
-from mafkit.triples import _realized
+from mafkit.triples import _realized, find_incompatible, locate_cuts
 
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
