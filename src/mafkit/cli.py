@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except NewickError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -19,13 +19,15 @@ walks edit the preorder label and size arrays in place and build each tree
 once. Only the constructor writes the ``parent`` and ``children`` arrays.
 
 ``below(t, v, u)`` is the one ancestry test: v is at or below u iff
-``u <= v < u + size(u)``. ``fold`` is a plain bottom-up sweep, a leaf value
-per leaf and a join per internal node. Two sweeps stay plain loops because
-they are hot and a callback per node measurably slows them: ``lca_map``
-(each component's map into an input tree, from which the triple phase reads
-both cleanliness and conflicts) and ``partition_tops`` (the agreement check
-and mapped roots for all components of a forest at once, by sibling merges
-on node ids). Neither builds a string.
+``u <= v < u + size(u)``, and it drives every LCA too: for u < v,
+lca(u, v) is the first ancestor of u whose interval holds v. ``fold`` is
+a plain bottom-up sweep, a leaf value per leaf and a join per internal
+node. Two sweeps stay plain loops because they are hot and a callback per
+node measurably slows them: ``lca_map`` (each component's map into an
+input tree, from which the triple phase reads both cleanliness and
+conflicts) and ``partition_tops`` (the agreement check and mapped roots
+for all components of a forest at once, by sibling merges on node ids).
+Neither builds a string.
 """
 
 from __future__ import annotations
@@ -168,15 +170,16 @@ def lca(t: PhyloTree, taxa) -> int:
 
 
 def _lca2(t: PhyloTree, u: int, v: int) -> int:
-    d = t.depths
+    """The LCA of nodes u and v, taken so that u < v, is the first ancestor
+    of u whose preorder interval holds v: depth(u) - depth(lca) interval
+    tests, never more than the depth(u) + depth(v) - 2 depth(lca) steps of
+    walking both up to equal depth and then together."""
+    if u > v:
+        u, v = v, u
+    size = t.sizes
     par = t.parent
-    while d[u] > d[v]:
+    while v >= u + size[u]:
         u = par[u]
-    while d[v] > d[u]:
-        v = par[v]
-    while u != v:
-        u = par[u]
-        v = par[v]
     return u
 
 
@@ -184,12 +187,12 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     """m[v] = the node of ``t`` that is the LCA of the taxa below ``comp``
     node v, for every v; a leaf maps to its own leaf in ``t``.
 
-    A plain loop with ``_lca2``'s walk inlined, not ``fold``: it runs once
-    per new component and input tree in the triple phase, and a callback
-    per node made it about twice as slow.
+    A plain loop with ``_lca2``'s interval climb inlined, not ``fold``: it
+    runs once per new component and input tree in the triple phase, and a
+    callback per node made it about twice as slow.
     """
     node = t.label_node
-    d = t.depths
+    size = t.sizes
     par = t.parent
     children = comp.children
     labels = comp.labels
@@ -201,13 +204,10 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
             continue
         a = m[ks[0]]
         b = m[ks[1]]
-        while d[a] > d[b]:
+        if a > b:
+            a, b = b, a
+        while b >= a + size[a]:
             a = par[a]
-        while d[b] > d[a]:
-            b = par[b]
-        while a != b:
-            a = par[a]
-            b = par[b]
         m[v] = a
     return m
 

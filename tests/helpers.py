@@ -31,6 +31,22 @@ def nested_tree(nested) -> PhyloTree:
     return PhyloTree(labels)
 
 
+def caterpillar(order) -> PhyloTree:
+    """The caterpillar ((order[0], order[1]), order[2]), ...: every internal
+    node first in preorder, then the leaves in order."""
+    return PhyloTree([None] * (len(order) - 1) + list(order))
+
+
+def interleaved_pair(m: int) -> list:
+    """Two caterpillars on n = 2m taxa: T1 on a0, b0, a1, b1, ..., T2 on
+    a0 ... a(m-1), b(m-1) ... b0, first label deepest. Each triple cut
+    leaves a host of O(n) nodes at depth O(n) to map again, and
+    ``maf_approx`` ends with n singletons after n/3 triple entries."""
+    a = [f"a{i}" for i in range(m)]
+    b = [f"b{i}" for i in range(m)]
+    return [caterpillar([x for pair in zip(a, b) for x in pair]), caterpillar(a + b[::-1])]
+
+
 def all_topologies(labels):
     """Every rooted binary tree shape on the given labels, each exactly once
     (sequential insertion over all attachment points is a bijection onto

@@ -1,8 +1,10 @@
 """Reference tree code: what ``mafkit.tree`` did before every tree came to be
 built from its preorder labels, plus the helpers only the tests use.
 
-- ``lca_map``: the ``fold`` one-liner that ``mafkit.tree.lca_map`` was
-  before it became a plain loop with the LCA walk inlined.
+- ``lca_walk``: the depth-balanced walk ``mafkit.tree._lca2`` was before
+  every LCA became a climb on preorder intervals, and ``lca_map``: the
+  ``fold`` of it that ``mafkit.tree.lca_map`` was before it became a plain
+  loop with the climb inlined.
 - ``fold`` (with its ``cut`` argument and absent-child rules),
   ``cut_pieces`` and ``from_nested``'s own array builder: the nested-tuple
   route that ``forest.cut_edges`` took before ``tree.split``, and
@@ -17,13 +19,26 @@ Kept so the package's code can be differential-tested against them.
 from __future__ import annotations
 
 from mafkit import tree
-from mafkit.tree import LABEL_CHARS, PhyloTree, _lca2, split
+from mafkit.tree import LABEL_CHARS, PhyloTree, split
+
+
+def lca_walk(t: PhyloTree, u: int, v: int) -> int:
+    d = t.depths
+    par = t.parent
+    while d[u] > d[v]:
+        u = par[u]
+    while d[v] > d[u]:
+        v = par[v]
+    while u != v:
+        u = par[u]
+        v = par[v]
+    return u
 
 
 def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     """m[v] = the node of ``t`` that is the LCA of the taxa below ``comp``
     node v, for every v; a leaf maps to its own leaf in ``t``."""
-    return tree.fold(comp, t.label_node.__getitem__, lambda a, b: _lca2(t, a, b))
+    return tree.fold(comp, t.label_node.__getitem__, lambda a, b: lca_walk(t, a, b))
 
 
 def fold(t: PhyloTree, leaf, join, cut=()) -> list:

@@ -127,6 +127,17 @@ def test_exit_code_unreadable_input(capsys, tmp_path, pair_file):
         assert "cannot read input" in err and "missing.nwk" in err
 
 
+def test_exit_code_non_utf8_input(capsys, tmp_path, pair_file):
+    """Bytes that are not UTF-8, in the trees file or the forest file for
+    ``check``, are unreadable input: exit 1, not an invalid instance."""
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(b"\xff\xfe(a,b);\n")
+    for argv in (["maf", str(bad)], ["check", pair_file, str(bad)], ["check", str(bad), pair_file]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out, argv
+        assert "cannot read input" in err and "invalid instance" not in err, err
+
+
 def test_exit_code_invalid_instance(capsys, tmp_path):
     p = tmp_path / "one.nwk"
     p.write_text("((a,b),c);\n")

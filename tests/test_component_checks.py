@@ -36,7 +36,14 @@ import reference_maaf
 import reference_maf
 from reference_gen import _grafted_nested
 from reference_tree import restrict, restricted_nested
-from helpers import canonical, derived_params, forest_newicks, nested_tree, three_cycle_fixture
+from helpers import (
+    canonical,
+    caterpillar,
+    derived_params,
+    forest_newicks,
+    nested_tree,
+    three_cycle_fixture,
+)
 
 
 def _check_forest(f, trees, seen):
@@ -87,13 +94,6 @@ def test_component_checks_match_reference_on_runs():
     assert min(seen.values()) > 0, seen
 
 
-def _caterpillar(order):
-    nested = order[0]
-    for lab in order[1:]:
-        nested = (nested, lab)
-    return nested_tree(nested)
-
-
 def _caterpillar_cases():
     """12 deep instances: a caterpillar on 6-55 taxa, and 1-5 more trees,
     each the caterpillar with 1-4 random label swaps, half of them then
@@ -101,13 +101,13 @@ def _caterpillar_cases():
     for idx in range(12):
         rng = SeededRng(909, stream=idx)
         labels = [f"t{i}" for i in range(1, 7 + rng.below(50))]
-        trees = [_caterpillar(labels)]
+        trees = [caterpillar(labels)]
         for j in range(1 + rng.below(5)):
             order = list(labels)
             for _ in range(1 + rng.below(4)):
                 a, b = rng.below(len(order)), rng.below(len(order))
                 order[a], order[b] = order[b], order[a]
-            t = _caterpillar(order)
+            t = caterpillar(order)
             trees.append(spr_move(t, seed=idx, stream=j) if rng.below(2) else t)
         yield trees
 

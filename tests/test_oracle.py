@@ -24,7 +24,7 @@ from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical
 
 import reference_oracle
-from helpers import canonical, nested_tree
+from helpers import canonical, caterpillar
 
 
 def test_identical_trees_need_zero_cuts():
@@ -167,13 +167,6 @@ def test_search_matches_reference():
     assert split_starts >= 50 and short_budgets >= 90, (split_starts, short_budgets)
 
 
-def _caterpillar(order):
-    nested = order[0]
-    for lab in order[1:]:
-        nested = (nested, lab)
-    return nested_tree(nested)
-
-
 def _verdict_cases():
     """30 seeded ``gen`` instances (n 3-10, k 2-4) and 8 caterpillar ones:
     a caterpillar on 3-10 taxa and 1-3 more trees, each the caterpillar with
@@ -186,13 +179,13 @@ def _verdict_cases():
     for n in range(3, 11):
         rng = SeededRng(101, stream=n)
         labels = [f"t{i}" for i in range(1, n + 1)]
-        trees = [_caterpillar(labels)]
+        trees = [caterpillar(labels)]
         for j in range(1 + rng.below(3)):
             order = list(labels)
             for _ in range(1 + rng.below(3)):
                 a, b = rng.below(n), rng.below(n)
                 order[a], order[b] = order[b], order[a]
-            t = _caterpillar(order)
+            t = caterpillar(order)
             trees.append(spr_move(t, seed=n, stream=j) if rng.below(2) else t)
         yield trees
 

@@ -18,11 +18,11 @@ from mafkit import (
 )
 from mafkit.forest import cut_edges
 from mafkit.gen import random_tree
-from mafkit.tree import below, lca, lca_map
+from mafkit.tree import _lca2, below, lca, lca_map
 
 import reference_tree
 from reference_tree import restrict
-from helpers import canonical, nested_tree
+from helpers import canonical, caterpillar, interleaved_pair
 
 
 @pytest.fixture
@@ -122,30 +122,55 @@ def test_below_matches_parent_walk(n, seed):
             assert below(t, v, u) == walk_is_ancestor(u, v)
 
 
-def _caterpillar(order):
-    nested = order[0]
-    for lab in order[1:]:
-        nested = (nested, lab)
-    return nested_tree(nested)
+def _shapes(n):
+    """(labels, trees) groups: two random trees and two caterpillars on
+    t1..tn, and for even n the interleaved pair on its own labels."""
+    labels = [f"t{i}" for i in range(1, n + 1)]
+    shapes = [
+        random_tree(n, seed=n),
+        random_tree(n, seed=n, stream=1),
+        caterpillar(labels),
+        caterpillar(random.Random(n).sample(labels, n)),
+    ]
+    if n % 2:
+        return [(labels, shapes)]
+    pair = interleaved_pair(n // 2)
+    return [(labels, shapes), (list(pair[0].label_node), pair)]
+
+
+def test_lca2_matches_depth_walk_on_every_pair():
+    """The interval climb equals the depth-balanced walk on every node pair,
+    in both argument orders, for n <= 64; ``lca`` of random taxon subsets
+    equals the walk folded over their leaves."""
+    for n in range(1, 65):
+        rng = SeededRng(n, stream=23)
+        for t in [t for _, group in _shapes(n) for t in group]:
+            for u in range(t.n_nodes):
+                for v in range(u, t.n_nodes):
+                    want = reference_tree.lca_walk(t, u, v)
+                    assert _lca2(t, u, v) == want and _lca2(t, v, u) == want, (u, v)
+            taxa = list(t.label_node)
+            for _ in range(8):
+                subset = [x for x in taxa if rng.below(3)] or taxa[:1]
+                nodes = [t.label_node[x] for x in subset]
+                want = nodes[0]
+                for u in nodes[1:]:
+                    want = reference_tree.lca_walk(t, want, u)
+                assert lca(t, subset) == want
 
 
 def test_lca_map_matches_fold_reference_on_random_trees_and_caterpillars():
     """Every pair of random trees, random caterpillars and restrictions of
-    one into the other for n <= 64: the loop's map equals the fold's."""
+    one into the other for n <= 64, and the interleaved pair: the loop's map
+    equals the fold's."""
     for n in range(1, 65):
         rng = SeededRng(n, stream=17)
-        labels = [f"t{i}" for i in range(1, n + 1)]
-        shapes = [
-            random_tree(n, seed=n),
-            random_tree(n, seed=n, stream=1),
-            _caterpillar(labels),
-            _caterpillar(random.Random(n).sample(labels, n)),
-        ]
-        for comp in shapes:
-            keep = [x for x in labels if rng.below(3)] or labels[:1]
-            for t in shapes:
-                for c in (comp, restrict(comp, keep)):
-                    assert lca_map(c, t) == reference_tree.lca_map(c, t)
+        for labels, shapes in _shapes(n):
+            for comp in shapes:
+                keep = [x for x in labels if rng.below(3)] or labels[:1]
+                for t in shapes:
+                    for c in (comp, restrict(comp, keep)):
+                        assert lca_map(c, t) == reference_tree.lca_map(c, t)
 
 
 def test_lca_map_matches_fold_reference_on_every_component_of_a_run():
