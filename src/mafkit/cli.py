@@ -35,7 +35,9 @@ SCHEMA = "mafkit-report/1"
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # strict, as for a file: stdin's own decoder would smuggle bad
+        # bytes through as surrogates and report them as a parse error
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

@@ -103,8 +103,9 @@ def steiner_nodes(t: PhyloTree, taxa) -> set:
     root = lca(t, taxa)
     nodes = {root}
     par = t.parent
+    node = t.label_node
     for x in taxa:
-        u = t.label_node[x]
+        u = node[x]
         while u not in nodes:
             nodes.add(u)
             u = par[u]

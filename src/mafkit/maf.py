@@ -16,10 +16,9 @@ the component it came from. So a piece's triples are a subset of its
 parent's, and its embedding in any tree (the minimal subtree connecting its
 taxa) lies inside its parent's embedding there. A tree clean of triples or
 of overlaps therefore stays clean under every later cut, and a second pass
-would find nothing. Components and trees are immutable, so a component's
-Steiner set in a tree holds for as long as the component is in the forest:
-the overlap phase keeps one set per live component while it works on one
-tree, and drops only the two components that each cut replaces. Every cut
+would find nothing. Each overlap search climbs every component's
+embedding once on two plain lists of the tree's size and builds node sets
+only for the pair it returns, so nothing is kept between searches. Every cut
 strictly reduces the forest's edge count, which bounds the total number of
 iterations by the size of the first tree; a cut that does not is an error.
 
@@ -84,40 +83,54 @@ class OverlapWitness:
     edge_y: int
 
 
-def find_overlap(f: Forest, t_i: PhyloTree, sets=None):
+def find_overlap(f: Forest, t_i: PhyloTree):
     """First pair of components (in index order) whose minimal connecting
     subtrees in ``t_i`` share a node, or None when all embeddings are
     pairwise disjoint. Single-leaf components embed as bare leaves and can
     never overlap anything.
 
-    The embeddings are scanned in index order with the first owner of every
-    node. The least pair (x, y) shows up as (owner, y) at a node the two
-    share: an owner below x there would make a smaller pair with y. So the
-    least (owner, y) over all shared nodes is the answer; the scan cannot
-    stop at the first hit, since a later y can still pair with a smaller x.
-
-    ``sets``, when given, maps components (by identity) to their Steiner
-    sets in ``t_i`` from earlier calls on the same tree; this call reads and
-    extends it. A caller that keeps it across cuts drops the components each
-    cut replaces, so it holds only live ones.
+    One climb per call over two lists of ``t_i``'s node count: ``owner``
+    holds the first component whose embedding holds each node, ``seen`` the
+    last one that climbed through it. Each component y climbs from every
+    leaf to its top, the lca of its min-id and max-id leaves, stopping early
+    at a node y has already climbed through, so it visits each node of its
+    embedding once. The least pair (x, y) shows up as (owner, y) at a node
+    the two share: an owner below x there would make a smaller pair with y.
+    So the least (owner, y) over all shared nodes is the answer; the scan
+    cannot stop at the first hit, since a later y can still pair with a
+    smaller x. Only the winning pair's embeddings are built as sets, to
+    find their deepest shared node.
     """
-    if sets is None:
-        sets = {}
     comps = f.components
-    owner: dict = {}
+    node = t_i.label_node
+    size = t_i.sizes
+    par = t_i.parent
+    owner = [-1] * len(par)
+    seen = [-1] * len(par)
     best = None
     for y, comp in enumerate(comps):
-        nodes = sets.get(comp)
-        if nodes is None:
-            nodes = sets[comp] = steiner_nodes(t_i, comp.label_node)
-        for node in nodes:
-            x = owner.setdefault(node, y)
-            if x != y and (best is None or (x, y) < best):
-                best = (x, y)
+        if len(comp.parent) == 1:
+            continue
+        leaves = [node[lab] for lab in comp.label_node]
+        top = min(leaves)
+        hi = max(leaves)
+        while hi >= top + size[top]:  # ``_lca2``'s climb, inlined
+            top = par[top]
+        for u in leaves:
+            while seen[u] != y:
+                seen[u] = y
+                x = owner[u]
+                if x < 0:
+                    owner[u] = y
+                elif best is None or x < best[0]:
+                    best = (x, y)
+                if u == top:
+                    break
+                u = par[u]
     if best is None:
         return None
     x, y = best
-    shared = sets[comps[x]] & sets[comps[y]]
+    shared = steiner_nodes(t_i, comps[x].label_node) & steiner_nodes(t_i, comps[y].label_node)
     depths = t_i.depths
     meet = max(shared, key=lambda nd: (depths[nd], -nd))
     return OverlapWitness(
@@ -191,13 +204,10 @@ def maf_approx(trees) -> tuple:
             forest = _cut(forest, edges)
             cuts.entries.append(CutEntry("triple", i, edges, str(tr)))
 
-    # Phase 2: overlaps, with each live component's Steiner set in the
-    # current tree; a cut replaces the two overlapping components.
+    # Phase 2: overlaps.
     for i in range(1, len(trees)):
-        sets: dict = {}
-        while (ow := find_overlap(forest, trees[i], sets)) is not None:
+        while (ow := find_overlap(forest, trees[i])) is not None:
             edges = ((ow.x, ow.edge_x), (ow.y, ow.edge_y))
-            del sets[forest.components[ow.x]], sets[forest.components[ow.y]]
             forest = _cut(forest, edges)
             cuts.entries.append(
                 CutEntry("overlap", i, edges, f"components {ow.x}~{ow.y}")

@@ -161,8 +161,9 @@ def lca(t: PhyloTree, taxa) -> int:
     """
     if not taxa:
         raise ValueError("lca of an empty taxon set")
+    node = t.label_node
     try:
-        nodes = [t.label_node[x] for x in taxa]
+        nodes = [node[x] for x in taxa]
     except KeyError as exc:
         raise ValueError(f"unknown taxon {exc.args[0]!r}") from None
     # preorder ids: lca(S) = lca(min-id leaf, max-id leaf)

@@ -41,6 +41,8 @@ from dataclasses import dataclass, replace
 from .forest import Forest
 from .tree import PhyloTree, _lca2, below, lca_map
 
+_UNSEEN = object()  # a ``find_incompatible`` memo miss
+
 
 @dataclass(frozen=True)
 class Triple:
@@ -104,8 +106,10 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
     size of the largest component.
 
     ``memo``, when given, maps components (by identity) to what an earlier
-    call found for them in ``t_i``: None when clean, else their minimal
-    triple and their ``lca_map`` into ``t_i``, which ``locate_cuts`` reuses.
+    call found for them in ``t_i``: None when clean (leaves and cherries
+    are, on first sight), else their minimal triple and their ``lca_map``
+    into ``t_i``, which ``locate_cuts`` reuses. So a component costs one
+    dict lookup per call once it has been seen.
     Components and trees are immutable, so a verdict holds as long as its
     component is in the forest; this call reads and extends it.
     """
@@ -113,12 +117,14 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
         memo = {}
     best = None
     for ci, comp in enumerate(f.components):
-        if comp.n_leaves < 3:
-            continue
-        if comp not in memo:
-            m = lca_map(comp, t_i)
-            memo[comp] = None if _realized(comp, m) else _deepest_conflict(comp, ci, t_i, m)
-        hit = memo[comp]
+        hit = memo.get(comp, _UNSEEN)
+        if hit is _UNSEEN:
+            if len(comp.parent) < 5:  # a leaf or a cherry holds no triple
+                hit = None
+            else:
+                m = lca_map(comp, t_i)
+                hit = None if _realized(comp, m) else _deepest_conflict(comp, ci, t_i, m)
+            memo[comp] = hit
         if hit is not None and (best is None or hit[0].taxa_key() < best.taxa_key()):
             best = replace(hit[0], host=ci)
     return best

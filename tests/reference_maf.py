@@ -3,9 +3,9 @@
 ``find_overlap`` tries every pair of components in index order, one
 Steiner-set intersection each, O(m^2) set operations per call.
 ``maf_approx`` sweeps the trees in each phase until a full pass makes no
-cut, with no Steiner sets kept between calls.
+cut.
 
-Kept only so that the first-owner scan in ``mafkit.maf.find_overlap`` and
+Kept only so that the first-owner climb in ``mafkit.maf.find_overlap`` and
 the one-pass phases of ``mafkit.maf.maf_approx`` can be differential-tested
 against them.
 """

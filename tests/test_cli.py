@@ -1,5 +1,6 @@
 """CLI surface: reports, formats, exit codes, golden output."""
 
+import io
 import json
 import os
 import subprocess
@@ -127,15 +128,32 @@ def test_exit_code_unreadable_input(capsys, tmp_path, pair_file):
         assert "cannot read input" in err and "missing.nwk" in err
 
 
-def test_exit_code_non_utf8_input(capsys, tmp_path, pair_file):
+def test_exit_code_non_utf8_input(capsys, monkeypatch, tmp_path, pair_file):
     """Bytes that are not UTF-8, in the trees file or the forest file for
-    ``check``, are unreadable input: exit 1, not an invalid instance."""
+    ``check``, or on stdin as ``-``, are unreadable input: exit 1 with the
+    same message, not a parse error or an invalid instance."""
+    data = b"\xff\xfe(a,b);\n"
     bad = tmp_path / "bad.nwk"
-    bad.write_bytes(b"\xff\xfe(a,b);\n")
-    for argv in (["maf", str(bad)], ["check", pair_file, str(bad)], ["check", str(bad), pair_file]):
+    bad.write_bytes(data)
+    for argv in (
+        ["maf", str(bad)],
+        ["check", pair_file, str(bad)],
+        ["check", str(bad), pair_file],
+        ["maf", "-"],
+        ["check", pair_file, "-"],
+    ):
+        # decoding errors handled as in the interpreter's own stdin
+        stdin = io.TextIOWrapper(io.BytesIO(data), "utf-8", "surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
         code, out, err = run(capsys, argv)
         assert code == 1 and not out, argv
         assert "cannot read input" in err and "invalid instance" not in err, err
+
+
+def test_stdin_input_matches_file(capsys, monkeypatch, pair_file):
+    """``-`` reads the same trees from stdin as from a file."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(PAIR.encode())))
+    assert run(capsys, ["maf", "-"]) == run(capsys, ["maf", pair_file])
 
 
 def test_exit_code_invalid_instance(capsys, tmp_path):

@@ -168,8 +168,9 @@ def test_exact_search_restricts_nothing(monkeypatch):
 
 def test_embeddings_computed_once(monkeypatch):
     """Counts, on the same instance: ``maf_approx`` asks ``find_overlap`` once
-    per overlap cut plus once per tree to find it clean, and builds each
-    Steiner set once per tree. ``maaf_approx`` takes the roots of the
+    per overlap cut plus once per tree to find it clean, and builds Steiner
+    sets only for the two components of each overlap cut, so each at most
+    once per tree. ``maaf_approx`` takes the roots of the
     forest it is given from its agreement sweep, so ``mapped_roots`` runs
     only on the four pieces of each cycle cut, once each. Components only
     ever split, so a leaf set names one component."""
@@ -200,7 +201,8 @@ def test_embeddings_computed_once(monkeypatch):
     f, cuts = maf_approx(trees)
     assert cuts.count("overlap") > 0
     assert len(overlap_calls) == cuts.count("overlap") + len(trees) - 1
-    assert steiner and max(steiner.values()) == 1, Counter(steiner.values())
+    assert sum(steiner.values()) == 2 * cuts.count("overlap"), sum(steiner.values())
+    assert max(steiner.values()) == 1, Counter(steiner.values())
     assert not roots
     _, cycle_cuts = maaf_approx(f, trees)
     assert cycle_cuts.entries
