@@ -20,17 +20,22 @@ such pair meets exactly there, so a triple a,b|c with a, b split by v and c
 outside L(v) conflicts iff some such c lies below m(v). That decides each
 anchor without enumerating triples; the only state is m, linear in n.
 
-The same map decides whether a component holds any conflict at all. The
-component is realized identically in t_i (isomorphic to t_i restricted to
-its taxa) iff no internal node v has m(v) equal to m of either child. If
-none does, m(v) = lca(m(left), m(right)) lies strictly above both, so the
-two children map into different child subtrees of m(v): the component
-embeds topologically in t_i restricted to its L taxa, branching preserved.
-Its 2L - 2 edges then map to edge-disjoint, non-empty paths in a tree that
-has only 2L - 2 edges, so every path is one edge and the trees are
-isomorphic. Conversely, distinct clusters of one tree have distinct LCAs,
-so an isomorphic restriction never maps a node and its child to one node.
-The test is O(|component|), where restricting t_i costs O(|t_i|).
+The same map finds the outer level of a minimal triple without a search.
+Take an anchor (o, cherry, other): cherry an internal node inside one child
+top of o, other the other child. If it conflicts, some leaf of other lies
+inside m(cherry)'s interval, so inside m(top)'s, and also inside m(other)'s.
+Preorder intervals are laminar, so the two images nest, and m(o), their
+lca, is the higher one: m(o) equals m of a child. Conversely, if
+m(o) = m(w) for a child w, then w is internal, because a leaf is the lca of
+no other taxa, and the anchor (o, cherry = w, other = w's sibling)
+conflicts: all of the sibling's taxa lie below m(w). So the deepest outers
+with a conflicting anchor are the deepest nodes o whose m equals a child's,
+at some depth D*: a scan of outer levels from the deepest would stop at
+D*, and the outers at D* that fail the test add no conflicting anchor.
+With no such node no triple conflicts, and since a rooted binary tree is
+determined by its triples, the component is then isomorphic to t_i
+restricted to its taxa. The test is O(|component|), where restricting t_i
+costs O(|t_i|).
 """
 
 from __future__ import annotations
@@ -96,14 +101,12 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
     """A minimal incompatible triple of ``f`` with respect to ``t_i``, or
     None when every component is realized identically in ``t_i``.
 
-    Each component's ``lca_map`` m into ``t_i`` is built once. Components
-    that ``_realized`` finds isomorphic to their restriction into ``t_i``
-    hold no incompatible triple and are skipped wholesale; the others hand
-    m to ``_deepest_conflict``. Within a conflicting component the search
-    walks candidate anchors deepest-first, which guarantees minimality;
-    remaining ties break lexicographically on taxon names so runs are
-    reproducible. Nothing is tabulated per tree: memory stays linear in the
-    size of the largest component.
+    Each component's ``lca_map`` m into ``t_i`` is built once and handed to
+    ``_deepest_conflict``, which finds the component clean or returns its
+    minimal triple from the deepest outer level that holds a conflict;
+    ties between components break lexicographically on taxon names so runs
+    are reproducible. Nothing is tabulated per tree: memory stays linear in
+    the size of the largest component.
 
     ``memo``, when given, maps components (by identity) to what an earlier
     call found for them in ``t_i``: None when clean (leaves and cherries
@@ -122,87 +125,77 @@ def find_incompatible(f: Forest, t_i: PhyloTree, memo=None):
             if len(comp.parent) < 5:  # a leaf or a cherry holds no triple
                 hit = None
             else:
-                m = lca_map(comp, t_i)
-                hit = None if _realized(comp, m) else _deepest_conflict(comp, ci, t_i, m)
+                hit = _deepest_conflict(comp, ci, t_i, lca_map(comp, t_i))
             memo[comp] = hit
         if hit is not None and (best is None or hit[0].taxa_key() < best.taxa_key()):
             best = replace(hit[0], host=ci)
     return best
 
 
-def _realized(comp: PhyloTree, m: list) -> bool:
-    """True iff ``comp`` is isomorphic to ``t_i`` restricted to its taxa,
-    given its ``lca_map`` m into ``t_i``: no internal node shares its image
-    with a child (module docstring)."""
-    for v, ks in enumerate(comp.children):
-        if ks and (m[v] == m[ks[0]] or m[v] == m[ks[1]]):
-            return False
-    return True
+def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list):
+    """Minimal incompatible triple of a component and m, its ``lca_map``
+    into ``t_i``, or None when the component is realized identically there.
 
-
-def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list) -> tuple:
-    """Minimal incompatible triple of a component known to conflict, with
-    m, the component's ``lca_map`` into ``t_i``, that found it.
-
-    Anchors (outer, cherry, other) — a cherry node inside one child of outer,
-    other the other child — are scanned in decreasing (depth(outer),
-    depth(cherry)) order, built one outer depth at a time so memory stays
-    O(n). An anchor holds a conflict iff some node of other's subtree has its
-    m below m(cherry) (module docstring; an internal node's m lies there only
-    if its taxa do), found by bisecting that subtree's sorted m values. The
-    first level with a conflict is enumerated with one LCA per pair (a, b),
-    keeping the lexicographically least triple. Nothing at that level can be
-    preceded by a triple from a shallower level, so the result is minimal.
+    An outer node holds a conflicting anchor iff its m equals m of a child
+    (module docstring), so the conflict level is the greatest depth D* of
+    such an outer, and there is none iff the component is clean. Anchors
+    (outer, cherry, other) — outer one of those nodes at D*, a cherry node
+    inside one child of outer, other the other child — are taken in
+    decreasing depth(cherry). An anchor holds a conflict iff some node of
+    other's subtree has its m below m(cherry) (an internal node's m lies
+    there only if its taxa do), found by bisecting that subtree's sorted m
+    values. The deepest conflicting cherry depth is enumerated with one LCA
+    per pair (a, b), keeping the lexicographically least triple. Nothing
+    there can be preceded by a triple from a shallower anchor, so the
+    result is minimal.
     """
-    depths = comp.depths
     children = comp.children
+    outers = [u for u, ks in enumerate(children) if ks and (m[u] == m[ks[0]] or m[u] == m[ks[1]])]
+    if not outers:
+        return None
+    depths = comp.depths
     sizes = comp.sizes
     t_sizes = t_i.sizes
+    deepest = max(depths[u] for u in outers)
 
     def taxa(u: int) -> list:
         return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
 
-    outers_at: list = [[] for _ in range(max(depths) + 1)]
-    for u in range(comp.n_nodes):
-        if children[u]:
-            outers_at[depths[u]].append(u)
-
-    best = None
-    for outers in reversed(outers_at):
-        anchors, spans = [], {}
-        for outer in outers:
-            ks = children[outer]
-            for top, other in (ks, ks[::-1]):
-                if children[top]:
-                    spans[other] = sorted(m[other : other + sizes[other]])
-                for cherry in range(top, top + sizes[top]):
-                    if children[cherry]:
-                        anchors.append((-depths[cherry], outer, cherry, other))
-        anchors.sort()
-        level = None
-        for novd, outer, cherry, other in anchors:
-            if best is not None and novd != level:
-                break
-            ps = spans[other]
-            i = bisect_left(ps, m[cherry])
-            if i == len(ps) or not below(t_i, ps[i], m[cherry]):
-                continue
-            level = novd
-            outside = taxa(other)
-            left, right = children[cherry]
-            for a, pa in taxa(left):
-                for b, pb in taxa(right):
-                    y = _lca2(t_i, pa, pb)
-                    y_hi = y + t_sizes[y]
-                    c = min((x for x, px in outside if y <= px < y_hi), default=None)
-                    if c is not None:
-                        cand = ((a, b, c) if a <= b else (b, a, c), outer, cherry)
-                        best = cand if best is None else min(best, cand)
-        if best is not None:
-            (a, b, c), outer, cherry = best
-            tr = Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
-            return tr, m
-    raise AssertionError("component conflicts but no incompatible triple found")
+    anchors, spans = [], {}
+    for outer in outers:
+        if depths[outer] != deepest:
+            continue
+        ks = children[outer]
+        for top, other in (ks, ks[::-1]):
+            if children[top]:
+                spans[other] = sorted(m[other : other + sizes[other]])
+            for cherry in range(top, top + sizes[top]):
+                if children[cherry]:
+                    anchors.append((-depths[cherry], outer, cherry, other))
+    anchors.sort()
+    best = level = None
+    for novd, outer, cherry, other in anchors:
+        if best is not None and novd != level:
+            break
+        ps = spans[other]
+        i = bisect_left(ps, m[cherry])
+        if i == len(ps) or not below(t_i, ps[i], m[cherry]):
+            continue
+        level = novd
+        outside = taxa(other)
+        left, right = children[cherry]
+        for a, pa in taxa(left):
+            for b, pb in taxa(right):
+                y = _lca2(t_i, pa, pb)
+                y_hi = y + t_sizes[y]
+                c = min((x for x, px in outside if y <= px < y_hi), default=None)
+                if c is not None:
+                    cand = ((a, b, c) if a <= b else (b, a, c), outer, cherry)
+                    best = cand if best is None else min(best, cand)
+    if best is None:
+        raise AssertionError("component conflicts but no incompatible triple found")
+    (a, b, c), outer, cherry = best
+    return Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer), m
 
 
 def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:

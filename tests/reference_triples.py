@@ -5,7 +5,13 @@ probes every (a, b, c) at every anchor level. It is far too slow and too
 large for real inputs, and is kept only so the interval/LCA search in
 ``mafkit.triples`` can be differential-tested against it.
 
-Also here: ``triple_of`` and ``triple_less``, the paper's vocabulary for
+Also here, verbatim under new names: ``realized_level_scan`` and
+``deepest_conflict_level_scan``, the LCA-map search as it was before the
+conflict level was read off the map: a separate cleanliness test, then a
+scan of outer levels from the deepest that re-sorts every "other" subtree
+per level, O(n * levels) per call.
+
+And ``triple_of`` and ``triple_less``, the paper's vocabulary for
 resolving three taxa and ordering triples by their anchors, which only the
 tests use.
 """
@@ -13,9 +19,10 @@ tests use.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 
 from mafkit import Forest, PhyloTree
-from mafkit.tree import below, lca, restricted_canonical
+from mafkit.tree import _lca2, below, lca, restricted_canonical
 from mafkit.triples import Triple, TripleCuts, _resolves
 
 from helpers import canonical
@@ -207,3 +214,78 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
         edge_c=edge_c,
         edge_cherry=edge_cherry,
     )
+
+
+def realized_level_scan(comp: PhyloTree, m: list) -> bool:
+    """True iff ``comp`` is isomorphic to ``t_i`` restricted to its taxa,
+    given its ``lca_map`` m into ``t_i``: no internal node shares its image
+    with a child (module docstring)."""
+    for v, ks in enumerate(comp.children):
+        if ks and (m[v] == m[ks[0]] or m[v] == m[ks[1]]):
+            return False
+    return True
+
+
+def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: list) -> tuple:
+    """Minimal incompatible triple of a component known to conflict, with
+    m, the component's ``lca_map`` into ``t_i``, that found it.
+
+    Anchors (outer, cherry, other) — a cherry node inside one child of outer,
+    other the other child — are scanned in decreasing (depth(outer),
+    depth(cherry)) order, built one outer depth at a time so memory stays
+    O(n). An anchor holds a conflict iff some node of other's subtree has its
+    m below m(cherry) (module docstring; an internal node's m lies there only
+    if its taxa do), found by bisecting that subtree's sorted m values. The
+    first level with a conflict is enumerated with one LCA per pair (a, b),
+    keeping the lexicographically least triple. Nothing at that level can be
+    preceded by a triple from a shallower level, so the result is minimal.
+    """
+    depths = comp.depths
+    children = comp.children
+    sizes = comp.sizes
+    t_sizes = t_i.sizes
+
+    def taxa(u: int) -> list:
+        return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
+
+    outers_at: list = [[] for _ in range(max(depths) + 1)]
+    for u in range(comp.n_nodes):
+        if children[u]:
+            outers_at[depths[u]].append(u)
+
+    best = None
+    for outers in reversed(outers_at):
+        anchors, spans = [], {}
+        for outer in outers:
+            ks = children[outer]
+            for top, other in (ks, ks[::-1]):
+                if children[top]:
+                    spans[other] = sorted(m[other : other + sizes[other]])
+                for cherry in range(top, top + sizes[top]):
+                    if children[cherry]:
+                        anchors.append((-depths[cherry], outer, cherry, other))
+        anchors.sort()
+        level = None
+        for novd, outer, cherry, other in anchors:
+            if best is not None and novd != level:
+                break
+            ps = spans[other]
+            i = bisect_left(ps, m[cherry])
+            if i == len(ps) or not below(t_i, ps[i], m[cherry]):
+                continue
+            level = novd
+            outside = taxa(other)
+            left, right = children[cherry]
+            for a, pa in taxa(left):
+                for b, pb in taxa(right):
+                    y = _lca2(t_i, pa, pb)
+                    y_hi = y + t_sizes[y]
+                    c = min((x for x, px in outside if y <= px < y_hi), default=None)
+                    if c is not None:
+                        cand = ((a, b, c) if a <= b else (b, a, c), outer, cherry)
+                        best = cand if best is None else min(best, cand)
+        if best is not None:
+            (a, b, c), outer, cherry = best
+            tr = Triple(a=a, b=b, c=c, host=host, cherry_lca=cherry, triple_lca=outer)
+            return tr, m
+    raise AssertionError("component conflicts but no incompatible triple found")

@@ -10,7 +10,8 @@ forests built to have many cycles, and (the agreement test) on random
 partitions that are mostly not agreement forests. ``maf_approx`` itself,
 one pass per phase, must match the old loop that swept each phase until
 nothing changed, and each of its overlap searches must match the pairwise
-one. The mapped roots read off the agreement sweep must equal
+one, and each of its conflict searches must match the old outer-level scan.
+The mapped roots read off the agreement sweep must equal
 ``mapped_roots``, and the cover-edge acyclicity test must agree with
 ``find_cycle`` on the transitive digraph.
 """
@@ -25,7 +26,7 @@ from mafkit import (
     maaf_approx,
     maf_approx,
 )
-from mafkit import maaf, maf
+from mafkit import maaf, maf, triples
 from mafkit.forest import agreement_roots, cut_edges, steiner_nodes
 from mafkit.gen import random_tree, spr_move
 from mafkit.maf import find_overlap
@@ -34,6 +35,7 @@ from mafkit.tree import lca, partition_tops, restricted_canonical
 import reference_forest
 import reference_maaf
 import reference_maf
+import reference_triples
 from reference_gen import _grafted_nested
 from reference_tree import restrict, restricted_nested
 from helpers import (
@@ -41,6 +43,7 @@ from helpers import (
     caterpillar,
     derived_params,
     forest_newicks,
+    interleaved_pair,
     nested_tree,
     three_cycle_fixture,
 )
@@ -146,6 +149,39 @@ def test_overlap_search_matches_reference_at_every_call(monkeypatch):
     for trees in [*_grid(), *_caterpillar_cases()]:
         maf_approx(trees)
     print(f"\noverlap searches: {seen}")
+    assert min(seen.values()) > 0, seen
+
+
+def test_conflict_search_matches_level_scan_at_every_call(monkeypatch):
+    """Every ``_deepest_conflict`` call that ``maf_approx`` makes must find
+    the component clean exactly when the old cleanliness test does, and
+    otherwise return the old level scan's triple and map. Conflicts whose
+    outer sits above the component's deepest outer level are the ones that
+    scan reached only after rescanning deeper levels."""
+    real = triples._deepest_conflict
+    seen = {"clean": 0, "conflicting": 0, "outer above the deepest level": 0}
+
+    def checking(comp, host, t_i, m):
+        got = real(comp, host, t_i, m)
+        if reference_triples.realized_level_scan(comp, m):
+            assert got is None
+            seen["clean"] += 1
+        else:
+            assert got == reference_triples.deepest_conflict_level_scan(comp, host, t_i, m)
+            seen["conflicting"] += 1
+            # an outer needs an internal child for a cherry to sit in
+            kids = comp.children
+            outers = [u for u, ks in enumerate(kids) if ks and (kids[ks[0]] or kids[ks[1]])]
+            depths = comp.depths
+            deepest = max(depths[u] for u in outers)
+            seen["outer above the deepest level"] += depths[got[0].triple_lca] < deepest
+        return got
+
+    monkeypatch.setattr(triples, "_deepest_conflict", checking)
+    cases = [*_grid(), *_caterpillar_cases(), *(interleaved_pair(m) for m in (4, 9, 25))]
+    for trees in cases:
+        maf_approx(trees)
+    print(f"\nconflict searches: {seen}")
     assert min(seen.values()) > 0, seen
 
 

@@ -16,7 +16,7 @@ from mafkit import (
 from mafkit.forest import cut_edges
 from mafkit.gen import spr_move
 from mafkit.tree import below, lca_map, restricted_canonical
-from mafkit.triples import _realized, find_incompatible, locate_cuts
+from mafkit.triples import _deepest_conflict, find_incompatible, locate_cuts
 
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
@@ -228,10 +228,17 @@ def _restricted_pairs(trees, rng, count):
 
 
 def _assert_realized_iff_same_restriction(pairs):
+    """The search finds no conflict exactly when the component equals its
+    restriction into the tree, and otherwise the triple of the old level
+    scan."""
     verdicts = {True: 0, False: 0}
     for comp, t in pairs:
         want = restricted_canonical(t, comp.leaf_labels) == canonical(comp)
-        assert _realized(comp, lca_map(comp, t)) == want, (canonical(comp), canonical(t))
+        m = lca_map(comp, t)
+        got = _deepest_conflict(comp, 0, t, m)
+        assert (got is None) == want, (canonical(comp), canonical(t))
+        if got is not None:
+            assert got == ref.deepest_conflict_level_scan(comp, 0, t, m)
         verdicts[want] += 1
     return verdicts
 
