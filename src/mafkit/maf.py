@@ -214,13 +214,3 @@ def maf_approx(trees) -> tuple:
             )
 
     return forest, cuts
-
-
-def rspr_upper_bound(trees) -> int:
-    """Upper bound on the rooted subtree-prune-and-regraft distance between
-    two trees: the approximate agreement forest's size minus one."""
-    trees = list(trees)
-    if len(trees) != 2:
-        raise ValueError("rspr bound is defined for exactly two trees")
-    forest, _ = maf_approx(trees)
-    return forest.size - 1

@@ -20,7 +20,7 @@ valid tree itself (two children per internal node at ',' and ')', counted
 per open node; the label alphabet through the token pattern; distinct
 taxa), so no validation sweep follows. ``serialize`` walks the labels back
 with the same per-node child counts. Neither reads or writes the tree's
-``parent`` and ``children`` arrays.
+``parent`` links.
 """
 
 from __future__ import annotations

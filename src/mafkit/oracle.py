@@ -182,8 +182,3 @@ def exact_rspr(t1, t2) -> int:
     """Exact rooted SPR distance via the agreement-forest identity: size of
     an optimal agreement forest minus one, which equals its cut count."""
     return exact_maf([t1, t2]).min_cuts
-
-
-def exact_hybridization(t1, t2) -> int:
-    """Exact hybridization number: optimal acyclic forest size minus one."""
-    return exact_maaf([t1, t2]).min_cuts

@@ -16,7 +16,9 @@ left child directly follows its parent. ``newick.parse`` collects the labels
 in its checked pass, ``split`` cuts a tree into pieces by picking out, per
 piece, the labels of the nodes it keeps, and ``gen``'s random growth and SPR
 walks edit the preorder label and size arrays in place and build each tree
-once. Only the constructor writes the ``parent`` and ``children`` arrays.
+once. Only the constructor writes the ``parent`` array. The children of
+an internal node u need no table: the left one is u + 1 and the right one
+u + 1 + size(u + 1).
 
 ``below(t, v, u)`` is the one ancestry test: v is at or below u iff
 ``u <= v < u + size(u)``, and it drives every LCA too: for u < v,
@@ -40,14 +42,15 @@ class PhyloTree:
 
     Attributes
     ----------
-    parent   : list[int]            parent id; -1 for the root
-    children : list[tuple[int,...]] () for leaves, (left, right) otherwise
-    labels   : list[str | None]     taxon name on leaves, None elsewhere
-    root     : int                  always 0 under preorder numbering
+    parent : list[int]          parent id; -1 for the root
+    labels : list[str | None]   taxon name on leaves, None elsewhere
+    root   : int                always 0 under preorder numbering
+
+    An internal node u has children u + 1 and u + 1 + sizes[u + 1].
     """
 
     __slots__ = (
-        "parent", "children", "labels",
+        "parent", "labels",
         "_label_node", "_depths", "_sizes",
     )
 
@@ -60,25 +63,21 @@ class PhyloTree:
 
         In a binary tree these fix the shape: a left child directly follows
         its parent and the right child follows the left child's subtree.
-        One forward sweep fills the links. A node right after an internal
-        node is its left child, stored bare until the right child arrives
-        and makes the pair; any other node is the right child of the
-        innermost internal node still waiting for one. Labels of no single
-        binary tree raise ValueError, duplicate taxa once ``label_node`` is.
+        One forward sweep fills the parent links. A node right after an
+        internal node is its left child; any other node is the right child
+        of the innermost internal node still waiting for one. Labels of no
+        single binary tree raise ValueError, duplicate taxa once
+        ``label_node`` is.
         """
         n = len(labels)
         parent = [-1] * n
-        children: list = [()] * n
         waiting = []  # internal nodes without their right child, innermost last
         opened = None  # the previous node, if internal
         for u, label in enumerate(labels):
             if opened is not None:
                 parent[u] = opened
-                children[opened] = u
             elif waiting:
-                p = waiting.pop()
-                parent[u] = p
-                children[p] = (children[p], u)
+                parent[u] = waiting.pop()
             elif u:
                 raise ValueError(f"node {u} comes after the tree is complete")
             if label is None:
@@ -89,7 +88,6 @@ class PhyloTree:
         if waiting or not n:
             raise ValueError(f"internal node {waiting[-1]} lacks a child" if n else "no labels")
         self.parent = parent
-        self.children = children
         self.labels = labels
         self._label_node = None
         self._depths = None
@@ -190,26 +188,27 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
 
     A plain loop with ``_lca2``'s interval climb inlined, not ``fold``: it
     runs once per new component and input tree in the triple phase, and a
-    callback per node made it about twice as slow.
+    callback per node made it about twice as slow. Nodes are visited by
+    decreasing id, so each arrives complete at its parent: the first child
+    to arrive sets the parent's m, the second climbs from it.
     """
     node = t.label_node
     size = t.sizes
     par = t.parent
-    children = comp.children
-    labels = comp.labels
-    m = [0] * comp.n_nodes
-    for v in range(comp.n_nodes - 1, -1, -1):
-        ks = children[v]
-        if not ks:
-            m[v] = node[labels[v]]
+    up = comp.parent
+    m = [-1 if lab is None else node[lab] for lab in comp.labels]
+    for v in range(comp.n_nodes - 1, 0, -1):
+        p = up[v]
+        a = m[p]
+        if a < 0:
+            m[p] = m[v]
             continue
-        a = m[ks[0]]
-        b = m[ks[1]]
+        b = m[v]
         if a > b:
             a, b = b, a
         while b >= a + size[a]:
             a = par[a]
-        m[v] = a
+        m[p] = a
     return m
 
 
@@ -219,12 +218,16 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
 def fold(t: PhyloTree, leaf, join) -> list:
     """Per-node values of ``t``, computed bottom-up: ``leaf(label)`` at a
     leaf, ``join(left, right)`` of the children's values elsewhere."""
-    children = t.children
+    sizes = t.sizes
     labels = t.labels
     val = [None] * t.n_nodes
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = children[u]
-        val[u] = join(val[ks[0]], val[ks[1]]) if ks else leaf(labels[u])
+        lab = labels[u]
+        if lab is None:
+            left = u + 1
+            val[u] = join(val[left], val[left + sizes[left]])
+        else:
+            val[u] = leaf(lab)
     return val
 
 
@@ -238,16 +241,16 @@ def restricted_canonical(t: PhyloTree, taxa) -> str:
     characters alive instead of O(n * depth).
     """
     keep = taxa if isinstance(taxa, frozenset) else frozenset(taxa)
-    children = t.children
+    sizes = t.sizes
     labels = t.labels
     red = [None] * t.n_nodes
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = children[u]
-        if not ks:
-            lab = labels[u]
+        lab = labels[u]
+        if lab is not None:
             red[u] = lab if lab in keep else None
             continue
-        left, right = ks
+        left = u + 1
+        right = left + sizes[left]
         a = red[left]
         b = red[right]
         red[left] = red[right] = None
@@ -273,7 +276,7 @@ def partition_tops(t: PhyloTree, comps, block_of: dict) -> list | None:
     at its root 0 (a singleton at its leaf). ``forest.agreement_roots``
     gives the argument.
     """
-    children = t.children
+    sizes = t.sizes
     labels = t.labels
     nodes = [c.label_node for c in comps]
     parents = [c.parent for c in comps]
@@ -281,9 +284,8 @@ def partition_tops(t: PhyloTree, comps, block_of: dict) -> list | None:
     open_comp = [-1] * t.n_nodes  # the component each node carries, or -1
     at = [0] * t.n_nodes  # the carried component's node
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = children[u]
-        if not ks:
-            lab = labels[u]
+        lab = labels[u]
+        if lab is not None:
             b = block_of[lab]
             v = nodes[b][lab]
             if v:
@@ -292,7 +294,8 @@ def partition_tops(t: PhyloTree, comps, block_of: dict) -> list | None:
             else:  # leaf 0: a singleton component
                 tops[b] = u
             continue
-        left, right = ks
+        left = u + 1
+        right = left + sizes[left]
         b = open_comp[left]
         c = open_comp[right]
         if c < 0:
@@ -324,27 +327,19 @@ def split(t: PhyloTree, cut_children) -> list:
     old root first). Pieces that hold no leaf are dropped.
 
     A reverse pass counts, per node, the child edges that are not cut and
-    still lead to a leaf (a leaf counts as 2); a forward pass gives each
-    node the top of its piece. Nodes counting 2 are exactly those the
-    piece keeps, and they come in the piece's own preorder, so their
-    labels build it.
+    still lead to a leaf (a leaf counts as 2): each node that counts and
+    is not cut adds one to its parent. A forward pass gives each node the
+    top of its piece. Nodes counting 2 are exactly those the piece keeps,
+    and they come in the piece's own preorder, so their labels build it.
     """
     cut = set(cut_children)
-    children = t.children
     parent = t.parent
     labels = t.labels
     n = t.n_nodes
-    count = [2] * n
-    for u in range(n - 1, -1, -1):
-        ks = children[u]
-        if ks:
-            left, right = ks
-            c = 0
-            if count[left] and left not in cut:
-                c = 1
-            if count[right] and right not in cut:
-                c += 1
-            count[u] = c
+    count = [0 if lab is None else 2 for lab in labels]
+    for u in range(n - 1, 0, -1):
+        if count[u] and u not in cut:
+            count[parent[u]] += 1
     top = list(range(n))
     for u in range(1, n):
         if u not in cut:

@@ -149,28 +149,30 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list):
     there can be preceded by a triple from a shallower anchor, so the
     result is minimal.
     """
-    children = comp.children
-    outers = [u for u, ks in enumerate(children) if ks and (m[u] == m[ks[0]] or m[u] == m[ks[1]])]
+    par = comp.parent
+    outers = {par[v] for v in range(1, len(par)) if m[v] == m[par[v]]}
     if not outers:
         return None
+    labels = comp.labels
     depths = comp.depths
     sizes = comp.sizes
     t_sizes = t_i.sizes
     deepest = max(depths[u] for u in outers)
 
     def taxa(u: int) -> list:
-        return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
+        return [(labels[x], m[x]) for x in range(u, u + sizes[u]) if labels[x] is not None]
 
     anchors, spans = [], {}
     for outer in outers:
         if depths[outer] != deepest:
             continue
-        ks = children[outer]
-        for top, other in (ks, ks[::-1]):
-            if children[top]:
+        left = outer + 1
+        right = left + sizes[left]
+        for top, other in ((left, right), (right, left)):
+            if labels[top] is None:
                 spans[other] = sorted(m[other : other + sizes[other]])
             for cherry in range(top, top + sizes[top]):
-                if children[cherry]:
+                if labels[cherry] is None:
                     anchors.append((-depths[cherry], outer, cherry, other))
     anchors.sort()
     best = level = None
@@ -183,9 +185,9 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list):
             continue
         level = novd
         outside = taxa(other)
-        left, right = children[cherry]
+        left = cherry + 1
         for a, pa in taxa(left):
-            for b, pb in taxa(right):
+            for b, pb in taxa(left + sizes[left]):
                 y = _lca2(t_i, pa, pb)
                 y_hi = y + t_sizes[y]
                 c = min((x for x, px in outside if y <= px < y_hi), default=None)
@@ -219,15 +221,17 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:
         raise ValueError(f"triple {tr} is not incompatible with this tree")
 
     c_node = comp.label_node[tr.c]
+    sizes = comp.sizes
 
     def child_toward(u: int, target: int) -> int:
-        for k in comp.children[u]:
-            if below(comp, target, k):
-                return k
-        raise AssertionError("target not below node")
+        if not u < target < u + sizes[u]:
+            raise AssertionError("target not below node")
+        left = u + 1
+        return left if target < left + sizes[left] else left + sizes[left]
 
     edge_a = child_toward(tr.cherry_lca, comp.label_node[tr.a])
-    edge_b = [k for k in comp.children[tr.cherry_lca] if k != edge_a][0]
+    left = tr.cherry_lca + 1
+    edge_b = left + sizes[left] if edge_a == left else left
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)
 
     hit = memo.get(comp) if memo else None

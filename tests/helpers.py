@@ -2,9 +2,8 @@
 forest comparison and a three-cycle forest."""
 
 from mafkit import Forest, GenSpec, PhyloTree, SeededRng, parse, serialize
+from mafkit.gen import random_tree
 from mafkit.tree import restricted_canonical
-
-from reference_gen import _grafted_nested
 
 
 def derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):
@@ -13,6 +12,17 @@ def derived_params(master_seed, idx, n_lo, n_hi, k_hi, moves_hi):
     k = 2 + rng.below(k_hi - 1)
     moves = rng.below(moves_hi + 1)
     return GenSpec(n=n, k=k, moves=moves, seed=master_seed * 1_000_003 + idx)
+
+
+def children(t) -> list:
+    """Per node of ``t``, the ids whose parent it is, in ascending order:
+    () for a leaf, (left, right) otherwise. Rebuilt from ``t.parent``
+    alone, so it checks the tree's layout rather than assuming it."""
+    kids = [[] for _ in t.parent]
+    for v, p in enumerate(t.parent):
+        if p >= 0:
+            kids[p].append(v)
+    return [tuple(k) for k in kids]
 
 
 def nested_tree(nested) -> PhyloTree:
@@ -47,18 +57,56 @@ def interleaved_pair(m: int) -> list:
     return [caterpillar([x for pair in zip(a, b) for x in pair]), caterpillar(a + b[::-1])]
 
 
+def cut_grid():
+    """(tree, cut set) pairs over two random trees and two caterpillars on
+    t1..tn for n = 1..40. Per tree: the empty set, every leaf edge, and,
+    where the tree has them, both root children, both children of a node,
+    a node with both its children, and random sets of every size up to 6."""
+    for n in range(1, 41):
+        labels = [f"t{i}" for i in range(1, n + 1)]
+        shuffled = list(labels)
+        rng = SeededRng(n, stream=5)
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        shapes = [random_tree(n, seed=n), random_tree(n, seed=n, stream=3)]
+        shapes += [caterpillar(labels), caterpillar(shuffled)]
+        rng = SeededRng(n, stream=11)
+        for t in shapes:
+            for cuts in _cut_sets(t, rng):
+                yield t, cuts
+
+
+def _cut_sets(t, rng) -> list:
+    kids = children(t)
+    internal = [u for u in range(1, t.n_nodes) if kids[u]]
+    sets = [set(), {u for u in range(1, t.n_nodes) if not kids[u]}]
+    if t.n_nodes > 1:
+        sets.append(set(kids[0]))
+    for u in internal[:3] + internal[-2:]:
+        sets.append(set(kids[u]))
+        sets.append({u, *kids[u]})
+    for size in range(1, min(6, t.n_nodes - 1) + 1):
+        for _ in range(3):
+            sets.append({1 + rng.below(t.n_nodes - 1) for _ in range(size)})
+    return sets
+
+
 def all_topologies(labels):
     """Every rooted binary tree shape on the given labels, each exactly once
     (sequential insertion over all attachment points is a bijection onto
     shapes: 3 trees for 3 labels, 15 for 4)."""
-    shapes = [nested_tree(labels[0])]
+    shapes = [PhyloTree([labels[0]])]
     for lab in labels[1:]:
-        shapes = [
-            nested_tree(_grafted_nested(t, pos, lab))
-            for t in shapes
-            for pos in range(t.n_nodes)
-        ]
+        shapes = [_grafted(t, pos, lab) for t in shapes for pos in range(t.n_nodes)]
     return shapes
+
+
+def _grafted(t, pos: int, lab: str) -> PhyloTree:
+    """``t`` with leaf ``lab`` hung on the parent edge of node ``pos`` by a
+    new node, as that node's right child (above the root when pos is 0)."""
+    end = pos + t.sizes[pos]
+    return PhyloTree(t.labels[:pos] + [None] + t.labels[pos:end] + [lab] + t.labels[end:])
 
 
 def canonical(t) -> str:

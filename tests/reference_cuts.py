@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from mafkit import PhyloTree
 from mafkit.tree import lca
 
+from helpers import children
 from reference_triples import _below_table
 
 
@@ -38,6 +39,7 @@ def compute_preorder_index(t: PhyloTree) -> PreorderIndex:
     """Walk the tree and assign visit numbers; do not assume ids are already
     preorder. Cached per tree, as the tree's own slot once cached it."""
     n = t.n_nodes
+    kids = children(t)
     visit = [0] * n
     counter = 0
     stack = [t.root]
@@ -47,14 +49,14 @@ def compute_preorder_index(t: PhyloTree) -> PreorderIndex:
         visit[u] = counter
         counter += 1
         order.append(u)
-        for c in reversed(t.children[u]):
+        for c in reversed(kids[u]):
             stack.append(c)
     lo = [0] * n
     hi = [0] * n
     for u in reversed(order):
         lo[u] = visit[u]
         hi[u] = visit[u]
-        for c in t.children[u]:
+        for c in kids[u]:
             lo[u] = min(lo[u], lo[c])
             hi[u] = max(hi[u], hi[c])
     return PreorderIndex(tuple(visit), tuple(lo), tuple(hi))
@@ -75,7 +77,7 @@ def overlap_cut_edge(comp: PhyloTree, t_i: PhyloTree, meet: int) -> int:
 
 
 def cycle_cut_edge(comp: PhyloTree, partner: PhyloTree, witness: PhyloTree) -> int:
-    ks = comp.children[comp.root]
+    ks = children(comp)[comp.root]
     if not ks:
         raise ValueError("cannot cut a single-leaf component")
     partner_root = lca(witness, partner.leaf_labels)

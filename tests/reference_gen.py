@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from mafkit import GenSpec, PhyloTree, SeededRng
 
+from helpers import children
 from reference_tree import cut_pieces, from_nested
 
 
@@ -26,8 +27,9 @@ def _grafted_nested(t: PhyloTree, target: int, graft):
     instance runs this sweep.
     """
     out = [None] * t.n_nodes
+    kids = children(t)
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = t.children[u]
+        ks = kids[u]
         out[u] = t.labels[u] if not ks else (out[ks[0]], out[ks[1]])
         if u == target:
             out[u] = (out[u], graft)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from mafkit.newick import NewickError
 from mafkit.tree import LABEL_CHARS, PhyloTree
 
+from helpers import children
 from reference_tree import from_nested, validate
 
 
@@ -116,13 +117,14 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
 def serialize(t: PhyloTree) -> str:
     """Newick string for ``t``, children in stored order, ';'-terminated."""
     out: list[str] = []
+    kids = children(t)
     stack: list = [t.root]  # node ids, and punctuation still to write
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-        elif t.children[item]:
-            left, right = t.children[item]
+        elif kids[item]:
+            left, right = kids[item]
             out.append("(")
             stack += (")", right, ",", left)
         else:

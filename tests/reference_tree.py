@@ -21,6 +21,8 @@ from __future__ import annotations
 from mafkit import tree
 from mafkit.tree import LABEL_CHARS, PhyloTree, split
 
+from helpers import children
+
 
 def lca_walk(t: PhyloTree, u: int, v: int) -> int:
     d = t.depths
@@ -49,11 +51,11 @@ def fold(t: PhyloTree, leaf, join, cut=()) -> list:
     both children present gets ``join(left, right)``, with one it passes
     that child's value up, and with none it gets None.
     """
-    children = t.children
+    kids = children(t)
     labels = t.labels
     val = [None] * t.n_nodes
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = children[u]
+        ks = kids[u]
         if not ks:
             val[u] = leaf(labels[u])
             continue
@@ -70,20 +72,16 @@ def from_nested(nested) -> PhyloTree:
     Node ids come out in preorder with children in the given order.
     Iterative so that deep (caterpillar) trees do not hit the
     interpreter recursion limit. The original array builder: it assembles
-    ``parent`` and ``children`` itself and asserts that ``PhyloTree`` builds
-    the same from the preorder labels, so every use is a constructor check.
+    ``parent`` itself and asserts that ``PhyloTree`` builds the same from
+    the preorder labels, so every use is a constructor check.
     """
     parent: list[int] = []
-    kids: list[list[int]] = []
     labels: list[str | None] = []
     stack = [(nested, -1)]
     while stack:
         node, par = stack.pop()
         idx = len(parent)
         parent.append(par)
-        kids.append([])
-        if par >= 0:
-            kids[par].append(idx)
         if isinstance(node, str):
             labels.append(node)
         else:
@@ -91,9 +89,8 @@ def from_nested(nested) -> PhyloTree:
             left, right = node
             stack.append((right, idx))
             stack.append((left, idx))
-    children = [tuple(k) for k in kids]
     t = PhyloTree(labels)
-    assert (t.parent, t.children) == (parent, children), nested
+    assert t.parent == parent, nested
     return t
 
 
@@ -125,8 +122,9 @@ def validate(t: PhyloTree) -> None:
     if t.root != 0 or t.parent[0] != -1:
         raise ValueError("root must be node 0 with no parent")
     seen_labels = set()
+    kids = children(t)
     for u in range(n):
-        ks = t.children[u]
+        ks = kids[u]
         if len(ks) not in (0, 2):
             raise ValueError(f"node {u} has out-degree {len(ks)}, expected 0 or 2")
         for c in ks:

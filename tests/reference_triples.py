@@ -25,14 +25,15 @@ from mafkit import Forest, PhyloTree
 from mafkit.tree import _lca2, below, lca, restricted_canonical
 from mafkit.triples import Triple, TripleCuts, _resolves
 
-from helpers import canonical
+from helpers import canonical, children
 
 
 def _below_table(t: PhyloTree) -> list:
     """Per node, the taxon names at or below it, in preorder."""
     table = [None] * t.n_nodes
+    kids = children(t)
     for u in range(t.n_nodes - 1, -1, -1):
-        ks = t.children[u]
+        ks = kids[u]
         if not ks:
             table[u] = (t.labels[u],)
         else:
@@ -92,8 +93,9 @@ class _PairDepths:
         d: dict = {}
         depths = t.depths
         below = _below_table(t)
+        kids = children(t)
         for u in range(t.n_nodes):
-            ks = t.children[u]
+            ks = kids[u]
             if not ks:
                 continue
             du = depths[u]
@@ -135,19 +137,19 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
 def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Triple:
     depths = comp.depths
     below = _below_table(comp)
-    children = comp.children
+    kids = children(comp)
     sizes = comp.sizes
 
     anchor_pairs = []
     for outer in range(comp.n_nodes):
-        ks = children[outer]
+        ks = kids[outer]
         if not ks:
             continue
         for side in (0, 1):
             top = ks[side]
             other = ks[1 - side]
             for cherry in range(top, top + sizes[top]):
-                if children[cherry]:
+                if kids[cherry]:
                     anchor_pairs.append(
                         (-depths[outer], -depths[cherry], outer, cherry, other)
                     )
@@ -160,8 +162,8 @@ def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Trip
             break
         level = (noud, novd)
         outlier = resolver.outlier
-        for a in below[children[cherry][0]]:
-            for b in below[children[cherry][1]]:
+        for a in below[kids[cherry][0]]:
+            for b in below[kids[cherry][1]]:
                 for c in below[other]:
                     if outlier(a, b, c) != c:
                         p, q = (a, b) if a <= b else (b, a)
@@ -183,14 +185,16 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree) -> TripleCuts:
     a_node = comp.label_node[tr.a]
     c_node = comp.label_node[tr.c]
 
+    kids = children(comp)
+
     def child_toward(u: int, target: int) -> int:
-        for k in comp.children[u]:
+        for k in kids[u]:
             if k <= target < k + sizes[k]:
                 return k
         raise AssertionError("target not below node")
 
     edge_a = child_toward(tr.cherry_lca, a_node)
-    edge_b = [k for k in comp.children[tr.cherry_lca] if k != edge_a][0]
+    edge_b = [k for k in kids[tr.cherry_lca] if k != edge_a][0]
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)
 
     outlier = resolver.outlier
@@ -220,7 +224,7 @@ def realized_level_scan(comp: PhyloTree, m: list) -> bool:
     """True iff ``comp`` is isomorphic to ``t_i`` restricted to its taxa,
     given its ``lca_map`` m into ``t_i``: no internal node shares its image
     with a child (module docstring)."""
-    for v, ks in enumerate(comp.children):
+    for v, ks in enumerate(children(comp)):
         if ks and (m[v] == m[ks[0]] or m[v] == m[ks[1]]):
             return False
     return True
@@ -241,28 +245,28 @@ def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: l
     preceded by a triple from a shallower level, so the result is minimal.
     """
     depths = comp.depths
-    children = comp.children
+    kids = children(comp)
     sizes = comp.sizes
     t_sizes = t_i.sizes
 
     def taxa(u: int) -> list:
-        return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not children[x]]
+        return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not kids[x]]
 
     outers_at: list = [[] for _ in range(max(depths) + 1)]
     for u in range(comp.n_nodes):
-        if children[u]:
+        if kids[u]:
             outers_at[depths[u]].append(u)
 
     best = None
     for outers in reversed(outers_at):
         anchors, spans = [], {}
         for outer in outers:
-            ks = children[outer]
+            ks = kids[outer]
             for top, other in (ks, ks[::-1]):
-                if children[top]:
+                if kids[top]:
                     spans[other] = sorted(m[other : other + sizes[other]])
                 for cherry in range(top, top + sizes[top]):
-                    if children[cherry]:
+                    if kids[cherry]:
                         anchors.append((-depths[cherry], outer, cherry, other))
         anchors.sort()
         level = None
@@ -275,7 +279,7 @@ def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: l
                 continue
             level = novd
             outside = taxa(other)
-            left, right = children[cherry]
+            left, right = kids[cherry]
             for a, pa in taxa(left):
                 for b, pb in taxa(right):
                     y = _lca2(t_i, pa, pb)

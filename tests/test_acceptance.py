@@ -31,7 +31,7 @@ from mafkit.gen import random_tree
 from mafkit.maaf import is_acyclic
 from mafkit.tree import _lca2
 
-from helpers import all_topologies, canonical, derived_params, forest_canon, forest_newicks
+from helpers import all_topologies, canonical, children, derived_params, forest_canon, forest_newicks
 
 
 def test_c1_validity_500_random_instances():
@@ -188,6 +188,7 @@ def test_c6_edge_exchange_preserves_forests_100_configs():
     yields an isomorphic forest."""
 
     def reach(t, start, removed):
+        kids = children(t)
         seen = {start}
         stack = [start]
         while stack:
@@ -195,7 +196,7 @@ def test_c6_edge_exchange_preserves_forests_100_configs():
             if u != t.root and u not in removed and t.parent[u] not in seen:
                 seen.add(t.parent[u])
                 stack.append(t.parent[u])
-            for c in t.children[u]:
+            for c in kids[u]:
                 if c not in removed and c not in seen:
                     seen.add(c)
                     stack.append(c)

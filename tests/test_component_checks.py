@@ -41,6 +41,7 @@ from reference_tree import restrict, restricted_nested
 from helpers import (
     canonical,
     caterpillar,
+    children,
     derived_params,
     forest_newicks,
     interleaved_pair,
@@ -170,7 +171,7 @@ def test_conflict_search_matches_level_scan_at_every_call(monkeypatch):
             assert got == reference_triples.deepest_conflict_level_scan(comp, host, t_i, m)
             seen["conflicting"] += 1
             # an outer needs an internal child for a cherry to sit in
-            kids = comp.children
+            kids = children(comp)
             outers = [u for u, ks in enumerate(kids) if ks and (kids[ks[0]] or kids[ks[1]])]
             depths = comp.depths
             deepest = max(depths[u] for u in outers)

@@ -11,7 +11,7 @@ from mafkit.forest import cut_edges, steiner_nodes
 from mafkit.tree import split
 
 import reference_tree
-from helpers import forest_newicks, nested_tree
+from helpers import cut_grid, forest_newicks, nested_tree
 from reference_tree import validate
 
 
@@ -108,40 +108,6 @@ def test_whole_tree_agrees_with_itself(n, seed):
 # ── differential: preorder-label pieces against the nested-tuple route ──
 
 
-def _shapes(n):
-    """Two random trees and two caterpillars on t1..tn."""
-    labels = [f"t{i}" for i in range(1, n + 1)]
-    shuffled = list(labels)
-    rng = SeededRng(n, stream=5)
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-    caterpillars = []
-    for order in (labels, shuffled):
-        nested = order[0]
-        for lab in order[1:]:
-            nested = (nested, lab)
-        caterpillars.append(reference_tree.from_nested(nested))
-    return [random_tree(n, seed=n), random_tree(n, seed=n, stream=3), *caterpillars]
-
-
-def _cut_sets(t, rng):
-    """The empty set, every leaf edge, and, where the tree has them: both
-    root children, both children of a node, a node with both its children,
-    and random sets of every size up to 6."""
-    internal = [u for u in range(1, t.n_nodes) if t.children[u]]
-    sets = [set(), {u for u in range(1, t.n_nodes) if not t.children[u]}]
-    if t.n_nodes > 1:
-        sets.append(set(t.children[0]))
-    for u in internal[:3] + internal[-2:]:
-        sets.append(set(t.children[u]))
-        sets.append({u, *t.children[u]})
-    for size in range(1, min(6, t.n_nodes - 1) + 1):
-        for _ in range(3):
-            sets.append({1 + rng.below(t.n_nodes - 1) for _ in range(size)})
-    return sets
-
-
 def _recount_sizes(t):
     s = [1] * t.n_nodes
     for u in range(t.n_nodes - 1, 0, -1):
@@ -156,22 +122,19 @@ def test_cut_edges_matches_nested_reference():
     piece is a valid tree and its sizes equal a fresh recount."""
     checked = 0
     before, after = parse("(x1,x2);"), parse("x3;")
-    for n in range(1, 41):
-        rng = SeededRng(n, stream=11)
-        for t in _shapes(n):
-            f = Forest.from_components([before, t, after])
-            for cuts in _cut_sets(t, rng):
-                want = reference_tree.split_reference(t, cuts)
-                got = cut_edges(f, [(1, v) for v in cuts]).components
-                assert got[0] is before and got[-1] is after
-                for pieces in (split(t, cuts), got[1:-1]):
-                    assert [(p.parent, p.children, p.labels) for p in pieces] == [
-                        (p.parent, p.children, p.labels) for p in want
-                    ], (n, sorted(cuts))
-                    for p in pieces:
-                        validate(p)
-                        assert p.sizes == _recount_sizes(p)
-                checked += 1
+    for t, cuts in cut_grid():
+        f = Forest.from_components([before, t, after])
+        want = reference_tree.split_reference(t, cuts)
+        got = cut_edges(f, [(1, v) for v in cuts]).components
+        assert got[0] is before and got[-1] is after
+        for pieces in (split(t, cuts), got[1:-1]):
+            assert [(p.parent, p.labels) for p in pieces] == [
+                (p.parent, p.labels) for p in want
+            ], (t.n_leaves, sorted(cuts))
+            for p in pieces:
+                validate(p)
+                assert p.sizes == _recount_sizes(p)
+        checked += 1
     assert checked > 1500
 
 
@@ -192,6 +155,6 @@ def test_constructor_matches_nested_builder(n, seed):
     want = reference_tree.from_nested(nested)
     for got in (PhyloTree(list(t.labels)), nested_tree(nested)):
         assert got._sizes is None and got._depths is None
-        assert (got.parent, got.children, got.labels) == (want.parent, want.children, want.labels)
+        assert (got.parent, got.labels) == (want.parent, want.labels)
         assert got.sizes == _recount_sizes(want)
         assert got.depths == _recount_depths(want)

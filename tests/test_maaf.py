@@ -7,6 +7,7 @@ from mafkit import (
     GenSpec,
     SeededRng,
     build_gf,
+    exact_maaf,
     exact_maf,
     hybridization_upper_bound,
     instance,
@@ -17,8 +18,6 @@ from mafkit import (
 )
 from mafkit.forest import cut_edges
 from mafkit.maaf import ForestDigraph, find_cycle, is_acyclic
-from mafkit.maf import rspr_upper_bound
-from mafkit.oracle import exact_hybridization
 
 import reference_maaf
 from helpers import forest_canon, forest_newicks, three_cycle_fixture
@@ -187,10 +186,10 @@ def test_hybridization_bound_cases():
     t2 = parse("((a,c),b);")
     bound = hybridization_upper_bound([t, t2])
     assert 1 <= bound <= 3
-    assert exact_hybridization(t, t2) == 1
+    assert exact_maaf([t, t2]).min_cuts == 1
     # cycle cuts only ever split the forest further, so the reticulation
     # bound dominates the SPR bound obtained from the same pipeline
-    assert bound >= rspr_upper_bound([t, t2])
+    assert bound >= maf_approx([t, t2])[0].size - 1
 
 
 def test_full_pipeline_on_natural_cycle_instance():

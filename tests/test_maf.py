@@ -15,7 +15,7 @@ from mafkit import (
 )
 from mafkit import maf
 from mafkit.forest import cut_edges, steiner_nodes
-from mafkit.maf import find_overlap, rspr_upper_bound
+from mafkit.maf import find_overlap
 from mafkit.oracle import exact_maf_forest
 
 from helpers import forest_canon
@@ -74,17 +74,15 @@ def test_input_validation():
         maf_approx([t])
     with pytest.raises(ValueError):
         maf_approx([t, parse("((a,b),d);")])
-    with pytest.raises(ValueError):
-        rspr_upper_bound([t, t, t])
 
 
 def test_rspr_upper_bound_cases():
     t = parse("((a,b),c);")
-    assert rspr_upper_bound([t, parse("((a,b),c);")]) == 0
-    bound = rspr_upper_bound([t, parse("((a,c),b);")])
+    assert maf_approx([t, parse("((a,b),c);")])[0].size - 1 == 0
+    bound = maf_approx([t, parse("((a,c),b);")])[0].size - 1
     assert 1 <= bound <= 3
     leaf = parse("a;")
-    assert rspr_upper_bound([leaf, parse("a;")]) == 0
+    assert maf_approx([leaf, parse("a;")])[0].size - 1 == 0
 
 
 def test_determinism_of_runs():

@@ -21,15 +21,15 @@ from mafkit.gen import random_tree
 
 import reference_newick
 from reference_tree import validate
-from helpers import canonical
+from helpers import canonical, children
 
 
 def test_three_leaf_shape():
     t = parse("((a,b),c);")
     assert t.n_leaves == 3
     assert t.leaf_labels == {"a", "b", "c"}
-    root_kids = t.children[t.root]
-    assert {len(t.children[k]) for k in root_kids} == {0, 2}
+    kids = children(t)
+    assert {len(kids[k]) for k in kids[t.root]} == {0, 2}
 
 
 def test_single_leaf_accepted():
@@ -114,7 +114,7 @@ def test_counting_identity():
     for n in (2, 5, 9, 17):
         t = random_tree(n, seed=n)
         assert t.n_nodes == 2 * n - 1
-        assert sum(1 for u in range(t.n_nodes) if t.children[u]) == n - 1
+        assert sum(1 for ks in children(t) if ks) == n - 1
 
 
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
@@ -151,7 +151,7 @@ def _outcome(parse_fn, text, **kw):
     except NewickError as err:
         return "rejected", str(err), err.offset, err.line
     validate(t)
-    return "accepted", t.parent, t.children, t.labels, t.root
+    return "accepted", t.parent, t.labels, t.root
 
 
 def _read_outcome(read_fn, text):
@@ -161,7 +161,7 @@ def _read_outcome(read_fn, text):
         return "rejected", str(err), err.offset, err.line
     for t in trees:
         validate(t)
-    return "accepted", [(t.parent, t.children, t.labels) for t in trees]
+    return "accepted", [(t.parent, t.labels) for t in trees]
 
 
 def _assert_same(text, **kw):

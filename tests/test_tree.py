@@ -18,11 +18,11 @@ from mafkit import (
 )
 from mafkit.forest import cut_edges
 from mafkit.gen import random_tree
-from mafkit.tree import _lca2, below, lca, lca_map
+from mafkit.tree import _lca2, below, lca, lca_map, split
 
 import reference_tree
 from reference_tree import restrict
-from helpers import canonical, caterpillar, interleaved_pair
+from helpers import canonical, caterpillar, children, cut_grid, interleaved_pair
 
 
 @pytest.fixture
@@ -136,6 +136,20 @@ def _shapes(n):
         return [(labels, shapes)]
     pair = interleaved_pair(n // 2)
     return [(labels, shapes), (list(pair[0].label_node), pair)]
+
+
+def test_children_sit_at_preorder_size_offsets():
+    """The children rebuilt from parent links alone are u + 1 and
+    u + 1 + sizes[u + 1] for every internal u, and a node is internal iff
+    its label is None: on random trees, caterpillars and interleaved pairs
+    for n <= 64, and on every ``split`` piece of the cut grid."""
+    trees = [t for n in range(1, 65) for _, group in _shapes(n) for t in group]
+    trees += [p for t, cuts in cut_grid() for p in split(t, cuts)]
+    for t in trees:
+        for u, ks in enumerate(children(t)):
+            assert bool(ks) == (t.labels[u] is None), u
+            if ks:
+                assert ks == (u + 1, u + 1 + t.sizes[u + 1]), u
 
 
 def test_lca2_matches_depth_walk_on_every_pair():

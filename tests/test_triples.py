@@ -16,7 +16,7 @@ from mafkit import (
 from mafkit.forest import cut_edges
 from mafkit.gen import spr_move
 from mafkit.tree import below, lca_map, restricted_canonical
-from mafkit.triples import _deepest_conflict, find_incompatible, locate_cuts
+from mafkit.triples import Triple, _deepest_conflict, find_incompatible, locate_cuts
 
 import reference_triples as ref
 from reference_triples import _make_triple, triple_less, triple_of
@@ -128,6 +128,24 @@ def test_locate_cuts_walks_past_grouped_taxa():
     assert str(tr) == "a,b|c"
     tc = locate_cuts(f, tr, other)
     assert tc.edge_c == 4  # the whole (c,e) clade comes off in one piece
+
+
+@pytest.mark.parametrize(
+    "other, c, cherry_lca, triple_lca",
+    [
+        ("(((a,c),b),d);", "c", 1, 2),  # edge_cherry: the cherry node above its target
+        ("(((a,c),b),d);", "c", 5, 0),  # edge_a: a leaf as the cherry node
+        ("(((a,c),b),d);", "c", 2, 2),  # edge_cherry: the target is the node itself
+        ("(((a,d),b),c);", "d", 2, 1),  # edge_c: the target after the node's subtree
+    ],
+)
+def test_locate_cuts_asserts_target_below_node(other, c, cherry_lca, triple_lca):
+    """Anchors that do not nest raise instead of naming some child: host
+    ids are root 0, ((a,b),c) 1, (a,b) 2, a 3, b 4, c 5, d 6."""
+    f = Forest.from_tree(parse("(((a,b),c),d);"))
+    tr = Triple(a="a", b="b", c=c, host=0, cherry_lca=cherry_lca, triple_lca=triple_lca)
+    with pytest.raises(AssertionError, match="target not below node"):
+        locate_cuts(f, tr, parse(other))
 
 
 def test_locate_cuts_rejects_compatible_triple():
