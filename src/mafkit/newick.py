@@ -13,14 +13,19 @@ would mask caller errors. Multi-tree files hold one tree per line; lines
 starting with '#' are comments.
 
 ``parse`` makes one pass over the tokens of its text: whole labels and
-single non-whitespace characters. Nodes appear in preorder with children
-left to right, so the pass only collects the preorder labels (None for each
-'(') and hands them to ``PhyloTree``. It enforces every invariant of a
-valid tree itself (two children per internal node at ',' and ')', counted
-per open node; the label alphabet through the token pattern; distinct
-taxa), so no validation sweep follows. ``serialize`` walks the labels back
-with the same per-node child counts. Neither reads or writes the tree's
-``parent`` links.
+single non-whitespace characters. Plain text, made only of label
+characters, ``(),;`` and ASCII whitespace, is tokenized by padding each
+punctuation character with spaces and calling ``str.split``; any other
+text goes through the token pattern, which gives the same tokens on plain
+text. Nodes appear in preorder with children left to right, so the pass
+only collects the preorder labels (None for each '(') and hands them to
+``PhyloTree``. It enforces every invariant of a valid tree itself (two
+children per internal node at ',' and ')', counted per open node; the
+label alphabet through the token pattern; distinct taxa), so no validation
+sweep follows. The taxon map that checks distinct taxa records each leaf's
+preorder id, and the parsed tree keeps it as its ``label_node``.
+``serialize`` walks the labels back with the same per-node child counts.
+Neither reads or writes the tree's ``parent`` links.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .tree import LABEL_CHARS, PhyloTree
 
 # a whole label, or any other single non-whitespace character
 _TOKEN = re.compile(r"[A-Za-z0-9_.-]+|\S")
+# text whose tokens ``str.split`` finds once punctuation is padded with spaces
+_PLAIN = re.compile(r"[A-Za-z0-9_.\-(),; \t\n\r\x0b\x0c]*", re.ASCII)
 
 
 class NewickError(ValueError):
@@ -49,9 +56,9 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
     The expression must be terminated by ';' and may be followed only by
     whitespace. Raises NewickError with a byte offset on any violation.
     """
-    tokens = _TOKEN.findall(text)
+    tokens = _tokens(text)
     labels: list[str | None] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # taxon -> preorder leaf id, in preorder
     open_kids: list[int] = []  # children done, per open internal node, innermost last
     want = True  # expecting a subtree, else ',', ')' or ';'
     for j, tok in enumerate(tokens):
@@ -62,7 +69,7 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
             elif tok[0] in LABEL_CHARS:
                 if tok in seen:
                     _fail(text, _line, f"duplicate taxon {tok!r}", j)
-                seen.add(tok)
+                seen[tok] = len(labels)
                 labels.append(tok)
                 want = False
             else:
@@ -84,13 +91,24 @@ def parse(text: str, _line: int | None = None) -> PhyloTree:
                 _fail(text, _line, "unexpected ';' inside parentheses", j)
             if j + 1 < len(tokens):
                 _fail(text, _line, "trailing content after ';'", j + 1)
-            return PhyloTree(labels)
+            t = PhyloTree(labels)
+            t._label_node = seen  # distinct taxa, in preorder: what label_node would build
+            return t
         else:
             _fail(text, _line, _after_subtree_error(text, tokens, j), j)
     if not tokens:
         _fail(text, _line, "empty input", 0)
     expected = "a subtree" if want else "',', ')' or ';'"
     _fail(text, _line, f"unexpected end of input, expected {expected}", len(tokens))
+
+
+def _tokens(text: str) -> list[str]:
+    """``_TOKEN.findall(text)``; on plain text, found by ``str.split`` once
+    each punctuation character is padded with spaces, which is faster."""
+    if _PLAIN.fullmatch(text):
+        padded = text.replace("(", " ( ").replace(")", " ) ")
+        return padded.replace(",", " , ").replace(";", " ; ").split()
+    return _TOKEN.findall(text)
 
 
 def _fail(text: str, line: int | None, message: str, j: int):

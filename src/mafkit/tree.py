@@ -105,7 +105,8 @@ class PhyloTree:
 
     @property
     def label_node(self) -> dict:
-        """Taxon name -> leaf node id."""
+        """Taxon name -> leaf node id, in preorder. Built on first access;
+        ``newick.parse`` hands over the map it checked its taxa with."""
         if self._label_node is None:
             node = {lab: u for u, lab in enumerate(self.labels) if lab is not None}
             if len(node) != self.n_leaves:

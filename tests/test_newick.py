@@ -16,7 +16,9 @@ from mafkit import (
     parse,
     read_trees,
     serialize,
+    write_trees,
 )
+from mafkit import newick
 from mafkit.gen import random_tree
 
 import reference_newick
@@ -180,11 +182,17 @@ def test_matches_reference_on_any_text(text):
     st.lists(st.text(alphabet=SPACES, max_size=3), max_size=300),
 )
 def test_matches_reference_with_whitespace_outside_labels(n, seed, gaps):
-    tokens = re.findall(r"[A-Za-z0-9_.-]+|.", serialize(random_tree(n, seed)))
-    text = "".join(g + tok for g, tok in zip(gaps + [""] * len(tokens), tokens))
-    text += "".join(gaps[len(tokens):])
+    text = _spaced_tree(n, seed, gaps)
     assert _outcome(parse, text)[0] == "accepted"
     _assert_same(text)
+
+
+def _spaced_tree(n, seed, gaps):
+    """``random_tree(n, seed)``'s Newick text with gaps[i] before token i
+    and the gaps left over after the last token."""
+    tokens = re.findall(r"[A-Za-z0-9_.-]+|.", serialize(random_tree(n, seed)))
+    text = "".join(g + tok for g, tok in zip(gaps + [""] * len(tokens), tokens))
+    return text + "".join(gaps[len(tokens):])
 
 
 @given(
@@ -213,6 +221,95 @@ def test_matches_reference_on_damaged_trees(n, seed, at, ch):
 def test_read_trees_matches_reference_line_numbers(lines):
     text = "\n".join(lines)
     assert _read_outcome(read_trees, text) == _read_outcome(reference_newick.read_trees, text)
+
+
+# ── plain text: the split tokenizer against the token pattern ──────────
+
+# Text made only of these characters takes the str.split tokenizer.
+PLAIN_SPACES = " \t\n\r\x0b\x0c"
+PLAIN_CHARS = "(),;ab_.-9x" + PLAIN_SPACES
+
+
+def _assert_plain_same(text, **kw):
+    assert newick._PLAIN.fullmatch(text)
+    assert newick._tokens(text) == newick._TOKEN.findall(text)
+    _assert_same(text, **kw)
+
+
+@given(st.text(alphabet=PLAIN_CHARS, max_size=40))
+def test_plain_tokens_match_reference_on_any_text(text):
+    _assert_plain_same(text)
+    _assert_plain_same(text, _line=7)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.text(alphabet=PLAIN_SPACES, max_size=3), max_size=300),
+)
+def test_plain_tokens_match_reference_on_valid_trees(n, seed, gaps):
+    text = _spaced_tree(n, seed, gaps)
+    assert _outcome(parse, text)[0] == "accepted"
+    _assert_plain_same(text)
+
+
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=200),
+    st.sampled_from(PLAIN_CHARS),
+)
+def test_plain_tokens_match_reference_on_damaged_trees(n, seed, at, ch):
+    text = serialize(random_tree(n, seed))
+    at %= len(text) + 1
+    _assert_plain_same(text[:at] + ch + text[at:])
+    _assert_plain_same(text[:at] + text[at + 1:])
+
+
+@pytest.mark.parametrize("text", ["(a:1,b);", "# x", "(a,b)\x85;", "a\xa0;", "a\x1c;", "\xe9;", "a\u2003;"])
+def test_other_text_takes_the_token_pattern(text):
+    assert newick._PLAIN.fullmatch(text) is None
+    assert newick._tokens(text) == newick._TOKEN.findall(text)
+
+
+# ── the parsed tree's taxon index comes from the parser ──────────────────
+
+
+def _assert_label_node_is_recount(t):
+    """Equal to the map ``label_node`` builds itself, in the same order."""
+    recount = {lab: u for u, lab in enumerate(t.labels) if lab is not None}
+    assert list(t.label_node.items()) == list(recount.items())
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
+def test_parsed_label_node_matches_recount_on_random_trees(n, seed):
+    _assert_label_node_is_recount(parse(serialize(random_tree(n, seed))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+def test_parsed_label_node_matches_recount_on_caterpillars(n):
+    # leaning left, every leaf last, and leaning right, a leaf after each internal node
+    right = PhyloTree([x for i in range(1, n) for x in (None, f"t{i}")] + [f"t{n}"])
+    for t in (_caterpillar(n), right):
+        _assert_label_node_is_recount(parse(serialize(t)))
+
+
+def test_parsed_label_node_matches_recount_on_gen_n500():
+    trees = read_trees(write_trees(instance(GenSpec(n=500, k=4, moves=4, seed=0))))
+    assert len(trees) == 4
+    for t in trees:
+        assert t.n_leaves == 500
+        _assert_label_node_is_recount(t)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(a,a);", "((a,b),a);", "((a,b),(c,b));", " ( a , ( b ,\ta ) ) ;", "(a,(b,a))\x85;"],
+)
+def test_duplicate_taxa_still_rejected_at_the_same_offset(text):
+    with pytest.raises(NewickError, match="duplicate taxon"):
+        parse(text)
+    _assert_same(text)
 
 
 # ── differential: the label walk against the id-stack writer ───────────

@@ -130,6 +130,17 @@ def test_locate_cuts_walks_past_grouped_taxa():
     assert tc.edge_c == 4  # the whole (c,e) clade comes off in one piece
 
 
+def test_locate_cuts_walk_tests_both_cherry_taxa():
+    """The edge_c walk goes on while a or b is below m(node). On this
+    instance only b is below m(18), so testing a alone stops at edge 18
+    instead of 20."""
+    trees = instance(GenSpec(n=16, k=2, moves=2, seed=16))
+    _, cuts = maf_approx(trees)
+    assert [(e.phase, e.tree, e.edges, e.witness) for e in cuts.entries] == [
+        ("triple", 1, ((0, 17), (0, 20), (0, 7)), "t10,t15|t11"),
+    ]
+
+
 @pytest.mark.parametrize(
     "other, c, cherry_lca, triple_lca",
     [
