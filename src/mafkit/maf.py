@@ -99,7 +99,10 @@ def find_overlap(f: Forest, t_i: PhyloTree):
     So the least (owner, y) over all shared nodes is the answer; the scan
     cannot stop at the first hit, since a later y can still pair with a
     smaller x. Only the winning pair's embeddings are built as sets, to
-    find their deepest shared node.
+    find their deepest shared node, the least id on a tie. Two embeddings
+    are connected subtrees, so their shared region is one too: in id order
+    each node's parent in the region comes first, and a node's depth is
+    counted from the region's top, not from ``t_i``'s root.
     """
     comps = f.components
     node = t_i.label_node
@@ -130,9 +133,13 @@ def find_overlap(f: Forest, t_i: PhyloTree):
     if best is None:
         return None
     x, y = best
-    shared = steiner_nodes(t_i, comps[x].label_node) & steiner_nodes(t_i, comps[y].label_node)
-    depths = t_i.depths
-    meet = max(shared, key=lambda nd: (depths[nd], -nd))
+    shared = sorted(
+        steiner_nodes(t_i, comps[x].label_node) & steiner_nodes(t_i, comps[y].label_node)
+    )
+    depth = {}
+    for u in shared:
+        depth[u] = depth.get(par[u], -1) + 1
+    meet = max(shared, key=depth.__getitem__)
     return OverlapWitness(
         x=x,
         y=y,

@@ -31,13 +31,11 @@ RuntimeError); for the acyclic variant, its mapped roots then decide
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 from .forest import Forest, agreement_roots, check_input_trees, cut_edges
 from .maaf import _acyclic
-from .tree import fold
 
 HARD_TAXON_CAP = 16
 
@@ -61,9 +59,15 @@ def _node_masks(start: Forest, trees):
     per start component, then per input tree (index = node id)."""
     start.check_taxa(trees)
     leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
-    below = [fold(comp, leaf_bit.__getitem__, operator.or_) for comp in start.components]
-    tree_masks = [fold(t, leaf_bit.__getitem__, operator.or_) for t in trees]
-    return leaf_bit, below, tree_masks
+
+    def masks(t):  # children follow their parent in preorder
+        mask = [0 if lab is None else leaf_bit[lab] for lab in t.labels]
+        par = t.parent
+        for u in range(len(par) - 1, 0, -1):
+            mask[par[u]] |= mask[u]
+        return mask
+
+    return leaf_bit, [masks(comp) for comp in start.components], [masks(t) for t in trees]
 
 
 def _leaf_set_agrees(piece: int, below, tree_masks) -> bool:

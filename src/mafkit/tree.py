@@ -22,14 +22,12 @@ u + 1 + size(u + 1).
 
 ``below(t, v, u)`` is the one ancestry test: v is at or below u iff
 ``u <= v < u + size(u)``, and it drives every LCA too: for u < v,
-lca(u, v) is the first ancestor of u whose interval holds v. ``fold`` is
-a plain bottom-up sweep, a leaf value per leaf and a join per internal
-node. Two sweeps stay plain loops because they are hot and a callback per
-node measurably slows them: ``lca_map`` (each component's map into an
-input tree, from which the triple phase reads both cleanliness and
-conflicts) and ``partition_tops`` (the agreement check and mapped roots
-for all components of a forest at once, by sibling merges on node ids).
-Neither builds a string.
+lca(u, v) is the first ancestor of u whose interval holds v. Two
+bottom-up sweeps are hot, so they are plain loops with no callback per
+node: ``lca_map`` (each component's map into an input tree, from which the
+triple phase reads both cleanliness and conflicts) and ``partition_tops``
+(the agreement check and mapped roots for all components of a forest at
+once, by sibling merges on node ids). Neither builds a string.
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ class PhyloTree:
     An internal node u has children u + 1 and u + 1 + sizes[u + 1].
     """
 
-    __slots__ = (
-        "parent", "labels",
-        "_label_node", "_depths", "_sizes",
-    )
+    __slots__ = ("parent", "labels", "_label_node", "_sizes")
 
     root = 0
 
@@ -90,7 +85,6 @@ class PhyloTree:
         self.parent = parent
         self.labels = labels
         self._label_node = None
-        self._depths = None
         self._sizes = None
 
     # ── basic shape ───────────────────────────────────────────────────
@@ -119,15 +113,6 @@ class PhyloTree:
         """A new frozenset per access; per-component loops that only iterate
         or test emptiness read ``label_node`` instead."""
         return frozenset(self.label_node)
-
-    @property
-    def depths(self) -> list:
-        if self._depths is None:
-            d = [0] * self.n_nodes
-            for u in range(1, self.n_nodes):
-                d[u] = d[self.parent[u]] + 1
-            self._depths = d
-        return self._depths
 
     @property
     def sizes(self) -> list:
@@ -187,11 +172,11 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     """m[v] = the node of ``t`` that is the LCA of the taxa below ``comp``
     node v, for every v; a leaf maps to its own leaf in ``t``.
 
-    A plain loop with ``_lca2``'s interval climb inlined, not ``fold``: it
-    runs once per new component and input tree in the triple phase, and a
-    callback per node made it about twice as slow. Nodes are visited by
-    decreasing id, so each arrives complete at its parent: the first child
-    to arrive sets the parent's m, the second climbs from it.
+    A plain loop with ``_lca2``'s interval climb inlined: it runs once per
+    new component and input tree in the triple phase, and a callback per
+    node made it about twice as slow. Nodes are visited by decreasing id,
+    so each arrives complete at its parent: the first child to arrive sets
+    the parent's m, the second climbs from it.
     """
     node = t.label_node
     size = t.sizes
@@ -214,22 +199,6 @@ def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
 
 
 # ── bottom-up sweeps and splitting ──────────────────────────────────
-
-
-def fold(t: PhyloTree, leaf, join) -> list:
-    """Per-node values of ``t``, computed bottom-up: ``leaf(label)`` at a
-    leaf, ``join(left, right)`` of the children's values elsewhere."""
-    sizes = t.sizes
-    labels = t.labels
-    val = [None] * t.n_nodes
-    for u in range(t.n_nodes - 1, -1, -1):
-        lab = labels[u]
-        if lab is None:
-            left = u + 1
-            val[u] = join(val[left], val[left + sizes[left]])
-        else:
-            val[u] = leaf(lab)
-    return val
 
 
 def restricted_canonical(t: PhyloTree, taxa) -> str:

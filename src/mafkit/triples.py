@@ -148,13 +148,19 @@ def _deepest_conflict(comp: PhyloTree, host: int, t_i: PhyloTree, m: list):
     per pair (a, b), keeping the lexicographically least triple. Nothing
     there can be preceded by a triple from a shallower anchor, so the
     result is minimal.
+
+    Depths are counted only once the component is known to conflict; it
+    then stays in ``find_incompatible``'s memo until it is cut, so that
+    pass runs at most once per component and tree.
     """
     par = comp.parent
     outers = {par[v] for v in range(1, len(par)) if m[v] == m[par[v]]}
     if not outers:
         return None
+    depths = [0] * len(par)
+    for u in range(1, len(par)):
+        depths[u] = depths[par[u]] + 1
     labels = comp.labels
-    depths = comp.depths
     sizes = comp.sizes
     t_sizes = t_i.sizes
     deepest = max(depths[u] for u in outers)

@@ -25,6 +25,14 @@ def children(t) -> list:
     return [tuple(k) for k in kids]
 
 
+def depths(t) -> list:
+    """Per node of ``t``, its number of edges below the root."""
+    d = [0] * t.n_nodes
+    for u in range(1, t.n_nodes):
+        d[u] = d[t.parent[u]] + 1
+    return d
+
+
 def nested_tree(nested) -> PhyloTree:
     """The tree of nested pairs, e.g. ``(("a", "b"), "c")``, with children
     in the given order. Iterative, so deep caterpillars do not hit the

@@ -22,9 +22,9 @@ def _grafted_nested(t: PhyloTree, target: int, graft):
     ``target`` via a new node (the whole-tree root when target is the root,
     which plants the graft above the old root).
 
-    A plain loop, not ``tree.fold``: the graft depends on the node id, which
-    a fold's join does not see, and every SPR move of every generated
-    instance runs this sweep.
+    A plain loop, not ``reference_tree.fold``: the graft depends on the
+    node id, which a fold's join does not see, and every SPR move of every
+    generated instance runs this sweep.
     """
     out = [None] * t.n_nodes
     kids = children(t)

@@ -17,12 +17,17 @@ from mafkit.maf import CutEntry, CutSet, OverlapWitness, _cut, _overlap_cut_edge
 from mafkit.tree import PhyloTree
 from mafkit.triples import find_incompatible, locate_cuts
 
+from helpers import depths
+
 
 def deepest_shared(t_i: PhyloTree, a: set, b: set):
     """A deepest node of ``t_i`` in both node sets, ties to the smaller id,
     or None when they are disjoint: where an overlap's cuts are chosen."""
-    depths = t_i.depths
-    return max(a & b, key=lambda nd: (depths[nd], -nd), default=None)
+    shared = a & b
+    if not shared:
+        return None
+    d = depths(t_i)
+    return max(shared, key=lambda nd: (d[nd], -nd))
 
 
 def find_overlap(f: Forest, t_i: PhyloTree):

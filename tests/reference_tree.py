@@ -5,10 +5,11 @@ built from its preorder labels, plus the helpers only the tests use.
   every LCA became a climb on preorder intervals, and ``lca_map``: the
   ``fold`` of it that ``mafkit.tree.lca_map`` was before it became a plain
   loop with the climb inlined.
-- ``fold`` (with its ``cut`` argument and absent-child rules),
-  ``cut_pieces`` and ``from_nested``'s own array builder: the nested-tuple
-  route that ``forest.cut_edges`` took before ``tree.split``, and
-  ``split_reference``, which chains them as ``cut_edges`` did.
+- ``fold``: the bottom-up sweep ``mafkit.tree`` kept until each caller
+  got a plain loop, here with a ``cut`` argument and absent-child rules.
+  With ``cut_pieces`` and ``from_nested``'s own array builder it is the
+  nested-tuple route that ``forest.cut_edges`` took before ``tree.split``,
+  and ``split_reference`` chains them as ``cut_edges`` did.
   ``from_nested`` checks its arrays against ``PhyloTree(labels)``.
 - ``validate``, ``restrict`` and ``restricted_nested``, which no module of
   the package needs.
@@ -18,29 +19,33 @@ Kept so the package's code can be differential-tested against them.
 
 from __future__ import annotations
 
-from mafkit import tree
 from mafkit.tree import LABEL_CHARS, PhyloTree, split
 
-from helpers import children
+from helpers import children, depths
 
 
-def lca_walk(t: PhyloTree, u: int, v: int) -> int:
-    d = t.depths
+def lca_walk(t: PhyloTree):
+    """The walk on ``t``, as a function of two node ids: their LCA."""
+    d = depths(t)
     par = t.parent
-    while d[u] > d[v]:
-        u = par[u]
-    while d[v] > d[u]:
-        v = par[v]
-    while u != v:
-        u = par[u]
-        v = par[v]
-    return u
+
+    def walk(u: int, v: int) -> int:
+        while d[u] > d[v]:
+            u = par[u]
+        while d[v] > d[u]:
+            v = par[v]
+        while u != v:
+            u = par[u]
+            v = par[v]
+        return u
+
+    return walk
 
 
 def lca_map(comp: PhyloTree, t: PhyloTree) -> list:
     """m[v] = the node of ``t`` that is the LCA of the taxa below ``comp``
     node v, for every v; a leaf maps to its own leaf in ``t``."""
-    return tree.fold(comp, t.label_node.__getitem__, lambda a, b: lca_walk(t, a, b))
+    return fold(comp, t.label_node.__getitem__, lca_walk(t))
 
 
 def fold(t: PhyloTree, leaf, join, cut=()) -> list:

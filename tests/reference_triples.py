@@ -25,7 +25,7 @@ from mafkit import Forest, PhyloTree
 from mafkit.tree import _lca2, below, lca, restricted_canonical
 from mafkit.triples import Triple, TripleCuts, _resolves
 
-from helpers import canonical, children
+from helpers import canonical, children, depths
 
 
 def _below_table(t: PhyloTree) -> list:
@@ -91,14 +91,14 @@ class _PairDepths:
 
     def __init__(self, t: PhyloTree):
         d: dict = {}
-        depths = t.depths
+        depth = depths(t)
         below = _below_table(t)
         kids = children(t)
         for u in range(t.n_nodes):
             ks = kids[u]
             if not ks:
                 continue
-            du = depths[u]
+            du = depth[u]
             for la in below[ks[0]]:
                 for lb in below[ks[1]]:
                     d[(la, lb)] = du
@@ -135,7 +135,7 @@ def find_incompatible(f: Forest, t_i: PhyloTree):
 
 
 def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Triple:
-    depths = comp.depths
+    depth = depths(comp)
     below = _below_table(comp)
     kids = children(comp)
     sizes = comp.sizes
@@ -151,7 +151,7 @@ def _deepest_conflict(comp: PhyloTree, host: int, resolver: _PairDepths) -> Trip
             for cherry in range(top, top + sizes[top]):
                 if kids[cherry]:
                     anchor_pairs.append(
-                        (-depths[outer], -depths[cherry], outer, cherry, other)
+                        (-depth[outer], -depth[cherry], outer, cherry, other)
                     )
     anchor_pairs.sort()
 
@@ -244,7 +244,7 @@ def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: l
     keeping the lexicographically least triple. Nothing at that level can be
     preceded by a triple from a shallower level, so the result is minimal.
     """
-    depths = comp.depths
+    depth = depths(comp)
     kids = children(comp)
     sizes = comp.sizes
     t_sizes = t_i.sizes
@@ -252,10 +252,10 @@ def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: l
     def taxa(u: int) -> list:
         return [(comp.labels[x], m[x]) for x in range(u, u + sizes[u]) if not kids[x]]
 
-    outers_at: list = [[] for _ in range(max(depths) + 1)]
+    outers_at: list = [[] for _ in range(max(depth) + 1)]
     for u in range(comp.n_nodes):
         if kids[u]:
-            outers_at[depths[u]].append(u)
+            outers_at[depth[u]].append(u)
 
     best = None
     for outers in reversed(outers_at):
@@ -267,7 +267,7 @@ def deepest_conflict_level_scan(comp: PhyloTree, host: int, t_i: PhyloTree, m: l
                     spans[other] = sorted(m[other : other + sizes[other]])
                 for cherry in range(top, top + sizes[top]):
                     if kids[cherry]:
-                        anchors.append((-depths[cherry], outer, cherry, other))
+                        anchors.append((-depth[cherry], outer, cherry, other))
         anchors.sort()
         level = None
         for novd, outer, cherry, other in anchors:

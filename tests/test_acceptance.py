@@ -31,7 +31,15 @@ from mafkit.gen import random_tree
 from mafkit.maaf import is_acyclic
 from mafkit.tree import _lca2
 
-from helpers import all_topologies, canonical, children, derived_params, forest_canon, forest_newicks
+from helpers import (
+    all_topologies,
+    canonical,
+    children,
+    depths,
+    derived_params,
+    forest_canon,
+    forest_newicks,
+)
 
 
 def test_c1_validity_500_random_instances():
@@ -214,7 +222,7 @@ def test_c6_edge_exchange_preserves_forests_100_configs():
         removal = set()
         while len(removal) < 1 + rng.below(4):
             removal.add(1 + rng.below(m - 1))
-        depth = t.depths
+        depth = depths(t)
 
         def dist(u, v):
             return depth[u] + depth[v] - 2 * depth[_lca2(t, u, v)]

@@ -42,6 +42,7 @@ from helpers import (
     canonical,
     caterpillar,
     children,
+    depths,
     derived_params,
     forest_newicks,
     interleaved_pair,
@@ -173,9 +174,9 @@ def test_conflict_search_matches_level_scan_at_every_call(monkeypatch):
             # an outer needs an internal child for a cherry to sit in
             kids = children(comp)
             outers = [u for u, ks in enumerate(kids) if ks and (kids[ks[0]] or kids[ks[1]])]
-            depths = comp.depths
-            deepest = max(depths[u] for u in outers)
-            seen["outer above the deepest level"] += depths[got[0].triple_lca] < deepest
+            depth = depths(comp)
+            deepest = max(depth[u] for u in outers)
+            seen["outer above the deepest level"] += depth[got[0].triple_lca] < deepest
         return got
 
     monkeypatch.setattr(triples, "_deepest_conflict", checking)

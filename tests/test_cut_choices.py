@@ -22,6 +22,7 @@ from mafkit.maf import _overlap_cut_edge
 from mafkit.tree import below, lca
 
 import reference_cuts as ref
+from helpers import depths
 
 
 def _run(trees):
@@ -38,11 +39,12 @@ def _run(trees):
 def _check_overlaps(f, t, seen):
     comps = f.components
     stein = [steiner_nodes(t, c.leaf_labels) for c in comps]
+    depth = depths(t)
     for x, y in itertools.combinations(range(f.size), 2):
         shared = stein[x] & stein[y]
         if not shared:
             continue
-        meet = max(shared, key=lambda nd: (t.depths[nd], -nd))
+        meet = max(shared, key=lambda nd: (depth[nd], -nd))
         for comp in (comps[x], comps[y]):
             got = _overlap_cut_edge(comp, t, meet)
             assert got == ref.overlap_cut_edge(comp, t, meet)

@@ -138,23 +138,15 @@ def test_cut_edges_matches_nested_reference():
     assert checked > 1500
 
 
-def _recount_depths(t):
-    d = [0] * t.n_nodes
-    for u in range(1, t.n_nodes):
-        d[u] = d[t.parent[u]] + 1
-    return d
-
-
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
 def test_constructor_matches_nested_builder(n, seed):
     """``PhyloTree`` on a tree's preorder labels, and ``nested_tree`` on its
     nested form, equal the original builder's node tables, and their lazy
-    sizes and depths equal recounts."""
+    sizes equal recounts."""
     t = random_tree(n, seed)
     nested = reference_tree.fold(t, lambda lab: lab, lambda a, b: (a, b))[0]
     want = reference_tree.from_nested(nested)
     for got in (PhyloTree(list(t.labels)), nested_tree(nested)):
-        assert got._sizes is None and got._depths is None
+        assert got._sizes is None
         assert (got.parent, got.labels) == (want.parent, want.labels)
         assert got.sizes == _recount_sizes(want)
-        assert got.depths == _recount_depths(want)

@@ -40,6 +40,14 @@ def test_overlap_through_shared_spine():
     assert ow.edge_y == 1  # leaf c within component (c,d)
 
 
+def test_overlap_meet_breaks_depth_ties_to_the_smaller_id():
+    f = Forest.from_components([parse("(a,c);"), parse("(b,d);")], frozenset("abcd"))
+    t = parse("((a,b),(c,d));")  # ids: 0 root, 1 (a,b), 2 a, 3 b, 4 (c,d), 5 c, 6 d
+    # the shared region {0, 1, 4} has 1 and 4 tied at depth 1; meeting at 1
+    # cuts the leaves a and b, meeting at 4 would cut c and d (edge 2 each)
+    assert find_overlap(f, t) == maf.OverlapWitness(x=0, y=1, edge_x=1, edge_y=1)
+
+
 def test_single_component_cannot_overlap():
     t = parse("((a,b),c);")
     assert find_overlap(Forest.from_tree(t), t) is None

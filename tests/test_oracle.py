@@ -1,6 +1,7 @@
 """Exhaustive small-instance optima: examples, identities, monotonicity."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical
 
 import reference_oracle
+import reference_tree
 from helpers import canonical, caterpillar
 
 
@@ -217,6 +219,27 @@ def test_leaf_set_verdict_matches_restricted_canonical():
                         assert got == expected, (idx, start.size, labs)
                         seen[expected] += 1
     assert split_starts >= 50 and min(seen.values()) >= 1000, (split_starts, seen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=5),
+)
+def test_node_masks_are_subtree_leaf_ors(n, seed, n_cuts):
+    """Every node's mask from ``_node_masks``, in each piece of a randomly
+    cut start tree and in each input tree, is the OR of the leaf bits below
+    it, as the reference fold computes it."""
+    rng = SeededRng(seed, stream=n)
+    first = random_tree(n, seed)
+    trees = [first, random_tree(n, seed, stream=1), random_tree(n, seed, stream=2)]
+    start = Forest.from_tree(first)
+    pool = start.all_edges()
+    start = cut_edges(start, [pool[rng.below(len(pool))] for _ in range(n_cuts if pool else 0)])
+    leaf_bit, below, tree_masks = oracle._node_masks(start, trees)
+    for t, masks in zip([*start.components, *trees], below + tree_masks):
+        assert masks == reference_tree.fold(t, leaf_bit.__getitem__, operator.or_)
 
 
 def test_winner_is_rechecked(monkeypatch):

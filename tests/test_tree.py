@@ -159,9 +159,10 @@ def test_lca2_matches_depth_walk_on_every_pair():
     for n in range(1, 65):
         rng = SeededRng(n, stream=23)
         for t in [t for _, group in _shapes(n) for t in group]:
+            walk = reference_tree.lca_walk(t)
             for u in range(t.n_nodes):
                 for v in range(u, t.n_nodes):
-                    want = reference_tree.lca_walk(t, u, v)
+                    want = walk(u, v)
                     assert _lca2(t, u, v) == want and _lca2(t, v, u) == want, (u, v)
             taxa = list(t.label_node)
             for _ in range(8):
@@ -169,7 +170,7 @@ def test_lca2_matches_depth_walk_on_every_pair():
                 nodes = [t.label_node[x] for x in subset]
                 want = nodes[0]
                 for u in nodes[1:]:
-                    want = reference_tree.lca_walk(t, want, u)
+                    want = walk(want, u)
                 assert lca(t, subset) == want
 
 
