@@ -34,7 +34,12 @@ is at or below the partner's mapped root, else the first child.
   embedding, overlapping y, so no side qualifies and the rule falls back to
   the first child. For y, that tree is the first case again.
 
-Neither loop scans all pairs of components. A queued root x is tested only
+Neither loop scans all pairs of components, and neither looks at a single
+leaf. A single-leaf component maps to its leaf in every tree, so no mapped
+root lies strictly below its own: it dominates nothing and is a sink of the
+digraph. It is never the x of a 2-cycle and never a dominating y, so a
+queued single leaf is dropped, neither tested nor settled, and the cut log
+is the one that testing it would give. A queued root x is tested only
 against the settled components whose mapped root is a strict ancestor of
 x's in some tree, found by walking up from x's mapped root in each tree
 through an index of settled components by mapped root (mapped roots of an
@@ -53,9 +58,15 @@ component at its lca. Only the four pieces of each cycle cut go through
 without the transitive digraph (``_acyclic``): the same stack sweep links
 each mapped root to its nearest mapped strict ancestor only, and those at
 most k * m cover edges have the same reachability, so Kahn's algorithm
-peels every component iff the digraph is acyclic. A forest acyclic on entry
-is returned at once. The digraph and ``find_cycle`` run only on a cycle that
-survived the pairwise loop, to pick it and its witness tree.
+peels every component iff the digraph is acyclic. Single leaves, being
+sinks, lie on no cycle and are left out of that sweep. A forest acyclic on
+entry is returned at once. The digraph and ``find_cycle`` run only on a
+cycle that survived the pairwise loop, to pick it and its witness tree,
+and only on the components with two or more leaves, in forest order. That
+picks the same cycle and witness as the digraph of the whole forest:
+dropping sinks keeps every other edge, its witness trees and the order of
+the other vertices, and ``find_cycle``'s search finishes a sink as soon as
+it reaches it, so a sink is never on its stack when a cycle closes.
 """
 
 from __future__ import annotations
@@ -139,8 +150,12 @@ def _acyclic(roots, trees) -> bool:
     mapped roots. An edge of the digraph joins a root to one strictly below
     it, which is a path of cover edges in that tree, so both digraphs have
     the same reachability and one has a cycle iff the other does. Kahn's
-    algorithm then peels the at most k * m cover edges.
+    algorithm then peels the at most k * m cover edges. Roots that are
+    leaves (those of single-leaf components) are dropped first: a leaf is
+    no strict ancestor of anything, so they are sinks and lie on no cycle.
     """
+    size0 = trees[0].sizes
+    roots = [r for r in roots if size0[r[0]] > 1]
     m = len(roots)
     succ: list = [[] for _ in range(m)]
     indeg = [0] * m
@@ -274,21 +289,24 @@ def maaf_approx(f: Forest, trees) -> tuple:
 
     while not _acyclic([roots[c] for c in work], trees):
         if not pending:
-            # every root was settled, so a cycle longer than 2 survived the
-            # pairwise loop: break one adjacent pair on it with the same
-            # two-edge rule and resume
-            g = _digraph([roots[c] for c in work], trees)
+            # every component but the single leaves was settled, so a cycle
+            # longer than 2 survived the pairwise loop: break one adjacent
+            # pair on it with the same two-edge rule and resume
+            tangled = [c for c in work if len(c.parent) > 1]
+            g = _digraph([roots[c] for c in tangled], trees)
             i, j = find_cycle(g)[:2]
             t_xy = g.edges[(i, j)][0]
             del g  # the largest object of a round; keep it out of the next
-            x, y = work[i], work[j]
-            for c in work:
+            x, y = tangled[i], tangled[j]
+            for c in tangled:
                 if c is not x and c is not y:
                     settle(c)
             split_pair(x, y, t_xy)
 
         while pending:
             x = pending.popleft()
+            if len(x.parent) == 1:
+                continue  # a single leaf dominates nothing: no 2-cycle, no candidate
             for y in dominating(x):
                 t_xy = _two_cycle_witness(roots[x], roots[y], trees)
                 if t_xy is not None:
@@ -297,8 +315,9 @@ def maaf_approx(f: Forest, trees) -> tuple:
                     break
             else:
                 settle(x)
-        # every root is settled now; the index is rebuilt above if a long
-        # cycle needs the loop again, and meanwhile it is not kept alive
+        # every root but the single leaves is settled now; the index is
+        # rebuilt above if a long cycle needs the loop again, and meanwhile
+        # it is not kept alive
         rank.clear()
         for settled_at in by_root:
             settled_at.clear()

@@ -1,5 +1,10 @@
 """Shared test utilities: seeded instance parameters, topology enumeration,
-forest comparison and a three-cycle forest."""
+forest comparison, a three-cycle forest and a wall-time deadline."""
+
+import signal
+from contextlib import contextmanager
+
+import pytest
 
 from mafkit import Forest, GenSpec, PhyloTree, SeededRng, parse, serialize
 from mafkit.gen import random_tree
@@ -142,3 +147,22 @@ def three_cycle_fixture():
         [parse("(x1,x2);"), parse("(y1,y2);"), parse("(z1,z2);")], ta.leaf_labels
     )
     return f, [ta, tb, tc]
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test from inside the block once ``seconds`` of wall time have
+    passed, so a run far over its time bound stops at the bound instead of
+    running to its end. Uses SIGALRM, so the block must run in the main
+    thread."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

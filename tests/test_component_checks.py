@@ -239,17 +239,30 @@ def test_acyclic_matches_transitive_digraph(monkeypatch):
 
 
 def test_cycle_loop_matches_reference_on_tangled_forests(monkeypatch):
-    seen = {"cycle entries": 0, "long cycles": 0}
-    find_cycle = maaf.find_cycle
+    """Long cycles found beside single leaves are the ones where the
+    fallback's digraph, which leaves single leaves out, numbers components
+    differently from the forest."""
+    seen = {"cycle entries": 0, "long cycles": 0, "long cycles beside single leaves": 0}
+    held = [None]  # the forest maaf_approx holds: its input, then each cut's result
+    find_cycle, cut = maaf.find_cycle, maaf._cut
 
     def counting(g):
         cycle = find_cycle(g)
         seen["long cycles"] += cycle is not None
+        seen["long cycles beside single leaves"] += cycle is not None and any(
+            c.n_nodes == 1 for c in held[0].components
+        )
         return cycle
 
+    def cutting(forest, edges):
+        held[0] = cut(forest, edges)
+        return held[0]
+
     monkeypatch.setattr(maaf, "find_cycle", counting)
+    monkeypatch.setattr(maaf, "_cut", cutting)
     for idx in range(200):
         f, trees = _tangled(idx)
+        held[0] = f
         acyclic, cuts = maaf_approx(f, trees)
         ref_acyclic, ref_cuts = reference_maaf.maaf_approx(f, trees)
         assert forest_newicks(acyclic) == forest_newicks(ref_acyclic)

@@ -2,13 +2,15 @@
 quadratic memory, the checks over a forest's components must not redo a
 per-component restriction or embedding, the exact search must restrict
 nothing, parsing must stay linear and iterative, generation must build
-each tree once, cuts must build their pieces without nested tuples, and a
-tree must keep no table beside its parent links and labels. The bounds are
-generous, so a pass is not luck and a failure means a return to a
-per-triple scan, a pairwise table, a rescan of outer levels, a rescan of
-every component, a canonical string per leaf set, a recursive parser, a
-rebuild per SPR move, a nested-tuple detour per cut or a per-node child
-table."""
+each tree once, cuts must build their pieces without nested tuples, a
+tree must keep no table beside its parent links and labels, and the cycle
+phase must leave single leaves out. The bounds are generous, so a pass is
+not luck and a failure means a return to a per-triple scan, a pairwise
+table, a rescan of outer levels, a rescan of every component, a canonical
+string per leaf set, a recursive parser, a rebuild per SPR move, a
+nested-tuple detour per cut, a per-node child table or a cycle test on
+components that dominate nothing. Each time guard fails once its bound
+passes, not when a slow run ends."""
 
 import gc
 import sys
@@ -36,15 +38,16 @@ from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import random_tree, spr_move
 from mafkit.maaf import mapped_roots
 
-from helpers import canonical, caterpillar, interleaved_pair, nested_tree
+from helpers import canonical, caterpillar, deadline, interleaved_pair, nested_tree
 
 
 def test_maf_n800_k4_under_30s():
     """The pairwise-table search took 80-86 s here; the LCA search under 1 s."""
     trees = instance(GenSpec(n=800, k=4, moves=4, seed=7_777))
-    started = time.perf_counter()
-    forest, _ = maf_approx(trees)
-    elapsed = time.perf_counter() - started
+    with deadline(30.0):
+        started = time.perf_counter()
+        forest, _ = maf_approx(trees)
+        elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"
     assert is_agreement_forest(forest, trees)
 
@@ -54,9 +57,10 @@ def test_shallow_conflicts_gen_n3200_under_1s():
     Scanning outer levels from the deepest took 1.6-2.7 s on a 2-vCPU Xeon;
     reading the level off the LCA map takes 0.13-0.27 s."""
     trees = instance(GenSpec(n=3200, k=4, moves=8, seed=42))
-    started = time.perf_counter()
-    forest, _ = maf_approx(trees)
-    elapsed = time.perf_counter() - started
+    with deadline(1.0):
+        started = time.perf_counter()
+        forest, _ = maf_approx(trees)
+        elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     assert is_agreement_forest(forest, trees)
 
@@ -66,9 +70,10 @@ def test_interleaved_caterpillars_n1200_under_2_5s():
     Balancing both nodes' depths per LCA took 4.2-4.5 s here on a 2-vCPU Xeon;
     climbing from the smaller id by interval tests takes about 0.6 s."""
     trees = interleaved_pair(600)
-    started = time.perf_counter()
-    forest, cuts = maf_approx(trees)
-    elapsed = time.perf_counter() - started
+    with deadline(2.5):
+        started = time.perf_counter()
+        forest, cuts = maf_approx(trees)
+        elapsed = time.perf_counter() - started
     assert elapsed < 2.5, f"took {elapsed:.1f}s"
     assert forest.size == 1200 and all(c.n_nodes == 1 for c in forest.components)
     assert cuts.count("triple") == len(cuts.entries) == 400, len(cuts.entries)
@@ -243,6 +248,48 @@ def test_acyclic_forest_builds_no_digraph(monkeypatch):
     out, cuts = maaf_approx(f, trees)
     assert out.components == f.components and not cuts.entries
     assert not calls, calls
+
+
+def test_cycle_phase_leaves_single_leaves_out(monkeypatch):
+    """Counts, on gen n = 2000, k = 8, moves = 80, whose MAF forest holds 739
+    single leaves among its 1081 components and needs cycle cuts and the
+    long-cycle fallback. A single leaf maps to itself in every tree, so it
+    dominates nothing: no 2-cycle witness test and no fallback digraph gets
+    its roots, and each digraph gets exactly the roots of the forest's other
+    components, in forest order. The run takes under 1 s; a triple search
+    gone slow made it take over 5 minutes, so it runs under a deadline."""
+    trees = instance(GenSpec(n=2000, k=8, moves=80, seed=42))
+    with deadline(30.0):
+        f, _ = maf_approx(trees)
+    size0 = trees[0].sizes
+    held = [f]  # the forest maaf_approx holds: its input, then each cut's result
+    calls = Counter()
+    real_cut, real_digraph, real_witness = maaf._cut, maaf._digraph, maaf._two_cycle_witness
+
+    def cutting(forest, edges):
+        held[0] = real_cut(forest, edges)
+        return held[0]
+
+    def digraph(roots, ts):
+        calls["_digraph"] += 1
+        assert all(size0[r[0]] > 1 for r in roots), "a single leaf in the digraph"
+        tangled = [c for c in held[0].components if c.n_nodes > 1]
+        assert [list(r) for r in roots] == [mapped_roots(c, ts) for c in tangled]
+        return real_digraph(roots, ts)
+
+    def witness(roots_x, roots_y, ts):
+        calls["_two_cycle_witness"] += 1
+        assert size0[roots_x[0]] > 1 and size0[roots_y[0]] > 1, "a single leaf tested"
+        return real_witness(roots_x, roots_y, ts)
+
+    monkeypatch.setattr(maaf, "_cut", cutting)
+    monkeypatch.setattr(maaf, "_digraph", digraph)
+    monkeypatch.setattr(maaf, "_two_cycle_witness", witness)
+    assert sum(c.n_nodes == 1 for c in f.components) == 739 and f.size == 1081
+    with deadline(30.0):
+        out, cuts = maaf_approx(f, trees)
+    assert calls["_digraph"] > 0 and calls["_two_cycle_witness"] > 0, calls
+    assert cuts.entries and out.components == held[0].components
 
 
 @pytest.mark.parametrize("shape", [_random_tree, _caterpillar], ids=["random", "caterpillar"])
