@@ -38,35 +38,36 @@ Neither loop scans all pairs of components, and neither looks at a single
 leaf. A single-leaf component maps to its leaf in every tree, so no mapped
 root lies strictly below its own: it dominates nothing and is a sink of the
 digraph. It is never the x of a 2-cycle and never a dominating y, so a
-queued single leaf is dropped, neither tested nor settled, and the cut log
-is the one that testing it would give. A queued root x is tested only
-against the settled components whose mapped root is a strict ancestor of
-x's in some tree, found by walking up from x's mapped root in each tree
-through an index of settled components by mapped root (mapped roots of an
-agreement forest are distinct). A 2-cycle needs y to dominate x in some
-tree, so every other settled y gives no witness; trying the candidates in
-settling order therefore hits the same y first as trying every settled
-component in order did. ``build_gf`` finds the nested pairs of one tree by
-sorting the mapped roots by preorder id and keeping a stack of those whose
-subtree holds the current one.
+queued single leaf is dropped, neither tested nor settled, and each round
+works on the list of components with two or more leaves only. A queued
+root x is tested only against the settled components whose mapped root is
+a strict ancestor of x's in some tree, found by walking up from x's mapped
+root in each tree through one index, kept for the whole run, of settled
+components and their settling rank by mapped root (mapped roots of an
+agreement forest are distinct, so a cut pair takes out its own entries and
+no others). A 2-cycle needs y to dominate x in some tree, so every other
+settled y gives no witness; trying the candidates in settling order
+therefore hits the same y first as trying every settled component in order
+did, and the witness only has to find a tree where x dominates y.
 
 Each component's mapped roots are found once. Those of the forest handed in
 come from its agreement check (``agreement_roots``): one string-free sweep
 per tree merges sibling nodes of each component on node ids and closes the
 component at its lca. Only the four pieces of each cycle cut go through
-``mapped_roots``. Acyclicity is decided on entry and after each round
-without the transitive digraph (``_acyclic``): the same stack sweep links
-each mapped root to its nearest mapped strict ancestor only, and those at
-most k * m cover edges have the same reachability, so Kahn's algorithm
-peels every component iff the digraph is acyclic. Single leaves, being
-sinks, lie on no cycle and are left out of that sweep. A forest acyclic on
-entry is returned at once. The digraph and ``find_cycle`` run only on a
-cycle that survived the pairwise loop, to pick it and its witness tree,
-and only on the components with two or more leaves, in forest order. That
-picks the same cycle and witness as the digraph of the whole forest:
-dropping sinks keeps every other edge, its witness trees and the order of
-the other vertices, and ``find_cycle``'s search finishes a sink as soon as
-it reaches it, so a sink is never on its stack when a cycle closes.
+``mapped_roots``. One sweep per tree (``_nesting``) sorts the mapped roots
+by preorder id and keeps a stack of those whose subtree holds the current
+one. ``build_gf`` reads every nested pair off it; ``_acyclic``, which
+decides acyclicity on entry and after each round, links each mapped root to
+its nearest mapped strict ancestor only, and those at most k * m cover
+edges have the same reachability, so Kahn's algorithm peels every component
+iff the digraph is acyclic. A forest acyclic on entry is returned at once.
+The digraph and ``find_cycle`` run only on a cycle that survived the
+pairwise loop, to pick it and its witness tree, on the components with two
+or more leaves in forest order, which are then all settled again in that
+order. That picks the same cycle and witness as the digraph of the whole
+forest: dropping sinks keeps every other edge, its witness trees and the
+order of the other vertices, and ``find_cycle``'s search finishes a sink as
+soon as it reaches it, so a sink is never on its stack when a cycle closes.
 """
 
 from __future__ import annotations
@@ -120,25 +121,31 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
     return _digraph(roots, trees)
 
 
+def _nesting(roots, t, ti: int):
+    """Each component j in preorder of its mapped root r in ``t``, the input
+    tree numbered ``ti``, as ``(r, j, stack)``: the stack holds
+    ``(root, component, end of the root's id range)`` for the components
+    whose mapped root is at or above r, outermost first. In preorder every
+    ancestor comes first, so one pass over the sorted roots keeps it."""
+    size = t.sizes
+    stack: list = []
+    for r, j in sorted((roots[j][ti], j) for j in range(len(roots))):
+        while stack and r >= stack[-1][2]:
+            stack.pop()
+        yield r, j, stack
+        stack.append((r, j, r + size[r]))
+
+
 def _digraph(roots, trees) -> ForestDigraph:
     """``build_gf`` on the components' ``mapped_roots``, given in order."""
-    m = len(roots)
     edges: dict = {}
     for ti, t in enumerate(trees):
-        size = t.sizes
-        # in preorder every ancestor comes first; the stack holds the
-        # components whose mapped root is at or above the current one, with
-        # the end of that root's id range
-        stack: list = []
-        for r, j in sorted((roots[j][ti], j) for j in range(m)):
-            while stack and r >= stack[-1][2]:
-                stack.pop()
+        for r, j, stack in _nesting(roots, t, ti):
             for ri, i, _ in stack:
                 if ri != r:
                     edges.setdefault((i, j), []).append(ti)
-            stack.append((r, j, r + size[r]))
     # pop as we go, so the witness lists and their tuples never all coexist
-    return ForestDigraph(m, {key: tuple(edges.pop(key)) for key in sorted(edges)})
+    return ForestDigraph(len(roots), {key: tuple(edges.pop(key)) for key in sorted(edges)})
 
 
 def _acyclic(roots, trees) -> bool:
@@ -150,25 +157,16 @@ def _acyclic(roots, trees) -> bool:
     mapped roots. An edge of the digraph joins a root to one strictly below
     it, which is a path of cover edges in that tree, so both digraphs have
     the same reachability and one has a cycle iff the other does. Kahn's
-    algorithm then peels the at most k * m cover edges. Roots that are
-    leaves (those of single-leaf components) are dropped first: a leaf is
-    no strict ancestor of anything, so they are sinks and lie on no cycle.
+    algorithm then peels the at most k * m cover edges.
     """
-    size0 = trees[0].sizes
-    roots = [r for r in roots if size0[r[0]] > 1]
     m = len(roots)
     succ: list = [[] for _ in range(m)]
     indeg = [0] * m
     for ti, t in enumerate(trees):
-        size = t.sizes
-        stack: list = []  # (end of the root's id range, component)
-        for r, j in sorted((roots[j][ti], j) for j in range(m)):
-            while stack and r >= stack[-1][0]:
-                stack.pop()
+        for _, j, stack in _nesting(roots, t, ti):
             if stack:
                 succ[stack[-1][1]].append(j)
                 indeg[j] += 1
-            stack.append((r + size[r], j))
     peeled = [j for j in range(m) if not indeg[j]]
     for i in peeled:  # grows while it is read
         for j in succ[i]:
@@ -210,18 +208,13 @@ def find_cycle(g: ForestDigraph):
 
 
 def _two_cycle_witness(roots_x, roots_y, trees):
-    """First tree where x dominates y, or None unless y also dominates x in
-    some tree."""
-    forward, backward = None, False
+    """First tree where x dominates y, or None. The caller has y dominating
+    x in some tree, so a tree found here closes a 2-cycle."""
     for ti, t in enumerate(trees):
-        rx, ry = roots_x[ti], roots_y[ti]
-        if rx == ry:
-            continue
-        size = t.sizes
-        if forward is None and rx < ry < rx + size[rx]:
-            forward = ti
-        backward = backward or ry < rx < ry + size[ry]
-    return forward if backward else None
+        rx = roots_x[ti]
+        if rx < roots_y[ti] < rx + t.sizes[rx]:
+            return ti
+    return None
 
 
 def maaf_approx(f: Forest, trees) -> tuple:
@@ -243,21 +236,15 @@ def maaf_approx(f: Forest, trees) -> tuple:
     # keyed by component object (identity); trees are immutable values
     roots: dict = dict(zip(work, found))
     pending = deque(work)
-    # settled components: their rank in settling order, and per input tree
-    # the one settled at each mapped root
-    rank: dict = {}
+    # per input tree, the settled component at each mapped root, with its
+    # rank in settling order
     by_root: list = [{} for _ in trees]
     ticket = count()
 
     def settle(c):
-        rank[c] = next(ticket)
+        entry = (next(ticket), c)
         for ti, r in enumerate(roots[c]):
-            by_root[ti][r] = c
-
-    def unsettle(c):
-        del rank[c]
-        for ti, r in enumerate(roots[c]):
-            del by_root[ti][r]
+            by_root[ti][r] = entry
 
     def dominating(x):
         """Settled components whose mapped root is a strict ancestor of
@@ -270,14 +257,17 @@ def maaf_approx(f: Forest, trees) -> tuple:
                 if u in settled_at:
                     found.add(settled_at[u])
                 u = par[u]
-        return sorted(found, key=rank.__getitem__)
+        return [c for _, c in sorted(found)]
 
     def split_pair(x, y, t_xy: int):
         """Cut the left root child edge of x and of y; queue the pieces."""
         xi, yi = work.index(x), work.index(y)
         edges = ((xi, 1), (yi, 1))
         work[:] = _cut(Forest(tuple(work), f.origin_labels), edges).components
-        del roots[x], roots[y]
+        # mapped roots are distinct, so this drops x's and y's entries only
+        for c in (x, y):
+            for ti, r in enumerate(roots.pop(c)):
+                by_root[ti].pop(r, None)
         # each root cut leaves two pieces in place, so the later pair shifts by one
         for at in (xi + (xi > yi), yi + (yi > xi)):
             for piece in work[at : at + 2]:
@@ -287,21 +277,22 @@ def maaf_approx(f: Forest, trees) -> tuple:
             CutEntry("cycle", t_xy, edges, f"cycle between components {xi} and {yi}")
         )
 
-    while not _acyclic([roots[c] for c in work], trees):
+    while True:
+        tangled = [c for c in work if len(c.parent) > 1]
+        if _acyclic([roots[c] for c in tangled], trees):
+            return Forest(tuple(work), f.origin_labels), cuts
         if not pending:
-            # every component but the single leaves was settled, so a cycle
-            # longer than 2 survived the pairwise loop: break one adjacent
-            # pair on it with the same two-edge rule and resume
-            tangled = [c for c in work if len(c.parent) > 1]
+            # every tangled component is settled, so a cycle longer than 2
+            # survived the pairwise loop: break one adjacent pair on it with
+            # the same two-edge rule and resume, the others settled again in
+            # forest order
             g = _digraph([roots[c] for c in tangled], trees)
             i, j = find_cycle(g)[:2]
             t_xy = g.edges[(i, j)][0]
             del g  # the largest object of a round; keep it out of the next
-            x, y = tangled[i], tangled[j]
             for c in tangled:
-                if c is not x and c is not y:
-                    settle(c)
-            split_pair(x, y, t_xy)
+                settle(c)
+            split_pair(tangled[i], tangled[j], t_xy)
 
         while pending:
             x = pending.popleft()
@@ -310,18 +301,10 @@ def maaf_approx(f: Forest, trees) -> tuple:
             for y in dominating(x):
                 t_xy = _two_cycle_witness(roots[x], roots[y], trees)
                 if t_xy is not None:
-                    unsettle(y)
                     split_pair(x, y, t_xy)
                     break
             else:
                 settle(x)
-        # every root but the single leaves is settled now; the index is
-        # rebuilt above if a long cycle needs the loop again, and meanwhile
-        # it is not kept alive
-        rank.clear()
-        for settled_at in by_root:
-            settled_at.clear()
-    return Forest(tuple(work), f.origin_labels), cuts
 
 
 def hybridization_upper_bound(trees) -> int:

@@ -23,8 +23,12 @@ strictly reduces the forest's edge count, which bounds the total number of
 iterations by the size of the first tree; a cut that does not is an error.
 
 The number of edges removed is at most three per triple iteration and two
-per overlap iteration, which is what yields the factor-3 bound on the
-number of cuts relative to an optimal agreement forest.
+per overlap iteration. The factor-3 bound on the number of cuts relative to
+an optimal agreement forest would follow if every iteration lowered the
+optimum of what is left by one. The bound is verified against the exact
+search on the fixed grids of the acceptance criteria c2 and c3 only, and it
+fails on two seeded ``gen`` instances outside them (n = 12, k = 2, moves = 3,
+seeds 145 and 1242: 7 cut edges against an optimum of 2; ROADMAP item 11).
 """
 
 from __future__ import annotations

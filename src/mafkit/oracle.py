@@ -167,7 +167,7 @@ def exact_maf_forest(start: Forest, trees, max_cuts=None):
 
 def exact_maf(trees, max_cuts=None):
     trees = check_input_trees(trees)
-    return exact_maf_forest(Forest.from_tree(trees[0]), trees, max_cuts)
+    return _search(Forest.from_tree(trees[0]), trees, max_cuts, acyclic=False)
 
 
 def exact_maaf_forest(start: Forest, trees, max_cuts=None):
@@ -179,7 +179,7 @@ def exact_maaf_forest(start: Forest, trees, max_cuts=None):
 
 def exact_maaf(trees, max_cuts=None):
     trees = check_input_trees(trees)
-    return exact_maaf_forest(Forest.from_tree(trees[0]), trees, max_cuts)
+    return _search(Forest.from_tree(trees[0]), trees, max_cuts, acyclic=True)
 
 
 def exact_rspr(t1, t2) -> int:

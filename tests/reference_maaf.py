@@ -1,13 +1,15 @@
 """Reference acyclicity code: the original Kahn queue, the pairwise
-``build_gf`` and the ``maaf_approx`` that scans every settled component.
+``build_gf``, the two-sided 2-cycle witness and the ``maaf_approx`` that
+scans every settled component with it.
 
 The Kahn queue peels off vertices of in-degree zero until none is left; the
 digraph is acyclic exactly when every vertex gets peeled. ``build_gf`` tests
 every ordered pair of components in every tree, and ``maaf_approx`` tries
 each queued root against every settled one, both O(k * m^2) for m
 components. They are kept only so that ``mafkit.maaf`` (a ``find_cycle``
-call, a stack sweep over sorted mapped roots, and ancestor-walk candidates)
-can be differential-tested against them.
+call, a stack sweep over sorted mapped roots, ancestor-walk candidates and
+a witness that checks one side only) can be differential-tested against
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from mafkit.forest import Forest
-from mafkit.maaf import ForestDigraph, _two_cycle_witness, find_cycle, mapped_roots
+from mafkit.maaf import ForestDigraph, find_cycle, mapped_roots
 from mafkit.maf import CutEntry, CutSet, _cut
 from mafkit.tree import below
 
@@ -62,6 +64,21 @@ def build_gf(f: Forest, trees, validate: bool = True) -> ForestDigraph:
                 if ri != rj and below(t, rj, ri):
                     edges.setdefault((i, j), []).append(ti)
     return ForestDigraph(m, {k: tuple(v) for k, v in sorted(edges.items())})
+
+
+def _two_cycle_witness(roots_x, roots_y, trees):
+    """The first tree where x's mapped root is a strict ancestor of y's, or
+    None unless y's is also a strict ancestor of x's in some tree. Both
+    sides are checked, so any pair of components may be passed."""
+    forward, backward = None, False
+    for ti, t in enumerate(trees):
+        rx, ry = roots_x[ti], roots_y[ti]
+        if rx == ry:
+            continue
+        if forward is None and below(t, ry, rx):
+            forward = ti
+        backward = backward or below(t, rx, ry)
+    return forward if backward else None
 
 
 def maaf_approx(f: Forest, trees) -> tuple:

@@ -148,6 +148,23 @@ def test_c3_maaf_ratio_exact_inequality(ratio_instances):
     print(f"\ncriterion 3: {count}/{count} within acyclic ratio 3")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 11: the cut rule removes 7 edges where the optimum is 2",
+)
+@pytest.mark.parametrize("seed", [145, 1242])
+def test_c2_c3_bounds_on_known_failures(seed):
+    """The c2 and c3 inequalities on two gen instances outside their grids,
+    where they fail today. Strict, so a fix of the cut rule shows up here."""
+    trees = instance(GenSpec(n=12, k=2, moves=3, seed=seed))
+    forest, cuts = maf_approx(trees)
+    _, cycle_cuts = maaf_approx(forest, trees)
+    maf_edges = cuts.edges_removed()
+    assert maf_edges <= 3 * exact_maf(trees).min_cuts
+    assert maf_edges + cycle_cuts.edges_removed() <= 3 * exact_maaf(trees).min_cuts
+
+
 def test_c4_distance_identities_exhaustive():
     """On every 3-leaf and 4-leaf shape pair: exact SPR distance equals
     optimal forest size minus one, the acyclic analogue holds for the

@@ -12,8 +12,9 @@ one pass per phase, must match the old loop that swept each phase until
 nothing changed, and each of its overlap searches must match the pairwise
 one, and each of its conflict searches must match the old outer-level scan.
 The mapped roots read off the agreement sweep must equal
-``mapped_roots``, and the cover-edge acyclicity test must agree with
-``find_cycle`` on the transitive digraph.
+``mapped_roots``, the cover-edge acyclicity test must agree with
+``find_cycle`` on the transitive digraph, and the one-sided 2-cycle witness
+with the two-sided one on every pair the cycle loop tests.
 """
 
 from mafkit import (
@@ -30,7 +31,7 @@ from mafkit import maaf, maf, triples
 from mafkit.forest import agreement_roots, cut_edges, steiner_nodes
 from mafkit.gen import random_tree, spr_move
 from mafkit.maf import find_overlap
-from mafkit.tree import lca, partition_tops, restricted_canonical
+from mafkit.tree import below, lca, partition_tops, restricted_canonical
 
 import reference_forest
 import reference_maaf
@@ -213,6 +214,16 @@ def _tangled(idx):
     return f, trees
 
 
+def _cycle_cases():
+    """The 200 tangled forests, the three-cycle fixture and the criterion-1
+    MAF forests, with their trees."""
+    yield from (_tangled(idx) for idx in range(200))
+    yield three_cycle_fixture()
+    for idx in range(500):
+        trees = instance(derived_params(101, idx, 4, 12, 4, 4))
+        yield maf_approx(trees)[0], trees
+
+
 def test_acyclic_matches_transitive_digraph(monkeypatch):
     """``maaf._acyclic`` decides on cover edges what ``find_cycle`` decides
     on the transitive digraph. Checked on every state ``maaf_approx`` asks
@@ -228,13 +239,33 @@ def test_acyclic_matches_transitive_digraph(monkeypatch):
         return got
 
     monkeypatch.setattr(maaf, "_acyclic", checking)
-    cases = [_tangled(idx) for idx in range(200)] + [three_cycle_fixture()]
-    for idx in range(500):
-        trees = instance(derived_params(101, idx, 4, 12, 4, 4))
-        cases.append((maf_approx(trees)[0], trees))
-    for f, trees in cases:
+    for f, trees in _cycle_cases():
         maaf_approx(f, trees)
     print(f"\n_acyclic verdicts: {seen}")
+    assert min(seen.values()) > 0, seen
+
+
+def test_witness_matches_two_sided_reference(monkeypatch):
+    """``maaf._two_cycle_witness`` looks only for a tree where x dominates
+    y, since ``maaf_approx`` passes only a y that dominates x in some tree.
+    Every call must return what the reference, which checks both sides,
+    returns on the same pair; a y that dominates x nowhere fails the test."""
+    seen = {"2-cycles": 0, "no witness": 0}
+    witness = maaf._two_cycle_witness
+
+    def checking(roots_x, roots_y, trees):
+        assert any(
+            below(t, rx, ry) and rx != ry for t, rx, ry in zip(trees, roots_x, roots_y)
+        )
+        got = witness(roots_x, roots_y, trees)
+        assert got == reference_maaf._two_cycle_witness(roots_x, roots_y, trees)
+        seen["no witness" if got is None else "2-cycles"] += 1
+        return got
+
+    monkeypatch.setattr(maaf, "_two_cycle_witness", checking)
+    for f, trees in _cycle_cases():
+        maaf_approx(f, trees)
+    print(f"\nwitness calls: {seen}")
     assert min(seen.values()) > 0, seen
 
 

@@ -35,3 +35,15 @@ def test_scaling_benchmark_runs(tmp_path):
     _run("scaling_benchmark.py", "--sizes", "8", "--repeats", "1", "--json", str(path))
     rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
     assert len(rows) == 1 and rows[0]["n"] == 8 and "exact_s" in rows[0]
+
+
+def test_scaling_benchmark_runs_caterpillars(tmp_path):
+    path = tmp_path / "rows.json"
+    _run(
+        "scaling_benchmark.py", "--shape", "caterpillar", "--sizes", "8", "--k", "2",
+        "--moves", "2", "--repeats", "1", "--json", str(path),
+    )
+    (row,) = json.loads(path.read_text(encoding="utf-8"))["rows"]
+    assert (row["shape"], row["n"], row["k"], row["moves"]) == ("caterpillar", 8, 2, 2)
+    assert row["maaf_components"] >= row["maf_components"] >= 1
+    assert "exact_s" in row
