@@ -23,11 +23,8 @@ class Forest:
         return cls((t,), t.leaf_labels)
 
     @classmethod
-    def from_components(cls, comps, origin_labels=None) -> "Forest":
-        comps = tuple(comps)
-        if origin_labels is None:
-            origin_labels = frozenset().union(*(c.leaf_labels for c in comps))
-        return cls(comps, frozenset(origin_labels))
+    def from_components(cls, comps, origin_labels) -> "Forest":
+        return cls(tuple(comps), frozenset(origin_labels))
 
     @property
     def size(self) -> int:
@@ -75,9 +72,10 @@ def cut_edges(f: Forest, edges) -> Forest:
 
     Within a cut component, the surviving pieces replace it in place, ordered
     by the preorder id of each piece's topmost node (remainder first, then
-    detached subtrees top-down). ``tree.split`` builds each piece straight
-    from the preorder labels it keeps, in O(|component|) per cut component.
-    Raises ValueError for edges that do not exist.
+    detached subtrees top-down). ``tree.split`` builds them in O(|component|),
+    and they are spliced into a copy of the component list last component
+    first, so no splice shifts an index still to come; the other components
+    are kept as they are. Raises ValueError for edges that do not exist.
     """
     by_comp: dict[int, set[int]] = {}
     for ci, v in edges:
@@ -89,13 +87,10 @@ def cut_edges(f: Forest, edges) -> Forest:
         by_comp.setdefault(ci, set()).add(v)
     if not by_comp:
         return f
-    new_comps: list[PhyloTree] = []
-    for ci, comp in enumerate(f.components):
-        if ci not in by_comp:
-            new_comps.append(comp)
-            continue
-        new_comps.extend(split(comp, by_comp[ci]))
-    return Forest(tuple(new_comps), f.origin_labels)
+    comps = list(f.components)
+    for ci in sorted(by_comp, reverse=True):
+        comps[ci : ci + 1] = split(comps[ci], by_comp[ci])
+    return Forest(tuple(comps), f.origin_labels)
 
 
 def steiner_nodes(t: PhyloTree, taxa) -> set:

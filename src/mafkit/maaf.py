@@ -42,10 +42,10 @@ queued single leaf is dropped, neither tested nor settled, and each round
 works on the list of components with two or more leaves only. A queued
 root x is tested only against the settled components whose mapped root is
 a strict ancestor of x's in some tree, found by walking up from x's mapped
-root in each tree through one index, kept for the whole run, of settled
-components and their settling rank by mapped root (mapped roots of an
-agreement forest are distinct, so a cut pair takes out its own entries and
-no others). A 2-cycle needs y to dominate x in some tree, so every other
+root in each tree through one index, emptied only for a long cycle, of
+settled components and their settling rank by mapped root (mapped roots of
+an agreement forest are distinct, so a cut pair takes out its own entries
+and no others). A 2-cycle needs y to dominate x in some tree, so every other
 settled y gives no witness; trying the candidates in settling order
 therefore hits the same y first as trying every settled component in order
 did, and the witness only has to find a tree where x dominates y.
@@ -231,11 +231,11 @@ def maaf_approx(f: Forest, trees) -> tuple:
     if found is None:
         raise ValueError("not an agreement forest of the given trees")
 
-    work = list(f.components)
+    forest = f
     cuts = CutSet()
     # keyed by component object (identity); trees are immutable values
-    roots: dict = dict(zip(work, found))
-    pending = deque(work)
+    roots: dict = dict(zip(f.components, found))
+    pending = deque(f.components)
     # per input tree, the settled component at each mapped root, with its
     # rank in settling order
     by_root: list = [{} for _ in trees]
@@ -261,16 +261,17 @@ def maaf_approx(f: Forest, trees) -> tuple:
 
     def split_pair(x, y, t_xy: int):
         """Cut the left root child edge of x and of y; queue the pieces."""
-        xi, yi = work.index(x), work.index(y)
+        nonlocal forest
+        xi, yi = forest.components.index(x), forest.components.index(y)
         edges = ((xi, 1), (yi, 1))
-        work[:] = _cut(Forest(tuple(work), f.origin_labels), edges).components
+        forest = _cut(forest, edges)
         # mapped roots are distinct, so this drops x's and y's entries only
         for c in (x, y):
             for ti, r in enumerate(roots.pop(c)):
                 by_root[ti].pop(r, None)
         # each root cut leaves two pieces in place, so the later pair shifts by one
         for at in (xi + (xi > yi), yi + (yi > xi)):
-            for piece in work[at : at + 2]:
+            for piece in forest.components[at : at + 2]:
                 roots[piece] = mapped_roots(piece, trees)
                 pending.append(piece)
         cuts.entries.append(
@@ -278,14 +279,15 @@ def maaf_approx(f: Forest, trees) -> tuple:
         )
 
     while True:
-        tangled = [c for c in work if len(c.parent) > 1]
+        tangled = [c for c in forest.components if len(c.parent) > 1]
         if _acyclic([roots[c] for c in tangled], trees):
-            return Forest(tuple(work), f.origin_labels), cuts
+            return forest, cuts
         if not pending:
             # every tangled component is settled, so a cycle longer than 2
             # survived the pairwise loop: break one adjacent pair on it with
             # the same two-edge rule and resume, the others settled again in
-            # forest order
+            # forest order, which refills the index emptied here
+            by_root = [{} for _ in trees]
             g = _digraph([roots[c] for c in tangled], trees)
             i, j = find_cycle(g)[:2]
             t_xy = g.edges[(i, j)][0]

@@ -57,7 +57,6 @@ class OracleResult:
 def _node_masks(start: Forest, trees):
     """Taxon name -> leaf bit, and the mask of the leaves below every node:
     per start component, then per input tree (index = node id)."""
-    start.check_taxa(trees)
     leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
 
     def masks(t):  # children follow their parent in preorder
@@ -157,24 +156,11 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
     return None
 
 
-def exact_maf_forest(start: Forest, trees, max_cuts=None):
-    """Minimum number of edges to delete from ``start`` so that what remains
-    is an agreement forest of the trees; None if over ``max_cuts``, which
-    must be None or non-negative (ValueError otherwise)."""
-    trees = check_input_trees(trees)
-    return _search(start, trees, max_cuts, acyclic=False)
-
-
 def exact_maf(trees, max_cuts=None):
+    """Fewest edges of the first tree to cut for an agreement forest, with a
+    witness; None if over ``max_cuts`` (None or non-negative)."""
     trees = check_input_trees(trees)
     return _search(Forest.from_tree(trees[0]), trees, max_cuts, acyclic=False)
-
-
-def exact_maaf_forest(start: Forest, trees, max_cuts=None):
-    """Like ``exact_maf_forest`` but the surviving forest's component
-    digraph must also be acyclic (which can force strictly more cuts)."""
-    trees = check_input_trees(trees)
-    return _search(start, trees, max_cuts, acyclic=True)
 
 
 def exact_maaf(trees, max_cuts=None):

@@ -1,12 +1,14 @@
 """Shared test utilities: seeded instance parameters, topology enumeration,
-forest comparison, a three-cycle forest and a wall-time deadline."""
+forest comparison, a three-cycle forest, a wall-time deadline and the exact
+searches from a given start forest."""
 
 import signal
 from contextlib import contextmanager
 
 import pytest
 
-from mafkit import Forest, GenSpec, PhyloTree, SeededRng, parse, serialize
+from mafkit import Forest, GenSpec, PhyloTree, SeededRng, oracle, parse, serialize
+from mafkit.forest import check_input_trees
 from mafkit.gen import random_tree
 from mafkit.tree import restricted_canonical
 
@@ -166,3 +168,21 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def exact_maf_forest(start: Forest, trees, max_cuts=None):
+    """Minimum number of edges to delete from ``start`` so that what remains
+    is an agreement forest of the trees; None if over ``max_cuts``, which
+    must be None or non-negative (ValueError otherwise). Raises ValueError
+    unless ``start``'s components partition the trees' common taxon set."""
+    trees = check_input_trees(trees)
+    start.check_taxa(trees)
+    return oracle._search(start, trees, max_cuts, acyclic=False)
+
+
+def exact_maaf_forest(start: Forest, trees, max_cuts=None):
+    """Like ``exact_maf_forest`` but the surviving forest's component
+    digraph must also be acyclic (which can force strictly more cuts)."""
+    trees = check_input_trees(trees)
+    start.check_taxa(trees)
+    return oracle._search(start, trees, max_cuts, acyclic=True)

@@ -37,6 +37,7 @@ from helpers import (
     children,
     depths,
     derived_params,
+    exact_maf_forest,
     forest_canon,
     forest_newicks,
 )
@@ -148,12 +149,54 @@ def test_c3_maaf_ratio_exact_inequality(ratio_instances):
     print(f"\ncriterion 3: {count}/{count} within acyclic ratio 3")
 
 
+# gen n = 12, k = 2, moves = 3 seeds on which both the c2 and the c3 bound
+# fail (ROADMAP item 11): 7 cut edges against an optimum of 2
+KNOWN_FAILURES = frozenset({145, 1242})
+
+
+def _first_stalled_entry(trees, cuts) -> str:
+    """The first cut-log entry after which the exact optimum of what is left
+    did not drop, replaying the log from the first tree."""
+    forest = Forest.from_tree(trees[0])
+    before = exact_maf_forest(forest, trees).min_cuts
+    for at, entry in enumerate(cuts.entries):
+        forest = cut_edges(forest, entry.edges)
+        after = exact_maf_forest(forest, trees).min_cuts
+        if after > before - 1:
+            return f"entry {at} ({entry.phase} {entry.witness}) left the optimum at {after}"
+        before = after
+    return "every entry lowered the optimum"
+
+
+def test_c2_c3_bounds_on_gen_n12_k2_grid():
+    """The c2 and c3 inequalities on every seed 0-1999 of gen n = 12, k = 2,
+    moves = 3, where they fail on exactly ``KNOWN_FAILURES``. The acyclic
+    optimum is computed only where c3 does not follow from c2: on a row
+    without cycle cuts where c2 holds, maf cuts <= 3 opt_maf <= 3 opt_maaf."""
+    c2_fails, c3_fails = set(), set()
+    stalled = {}
+    for seed in range(2000):
+        trees = instance(GenSpec(n=12, k=2, moves=3, seed=seed))
+        forest, cuts = maf_approx(trees)
+        _, cycle_cuts = maaf_approx(forest, trees)
+        maf_edges = cuts.edges_removed()
+        if maf_edges > 3 * exact_maf(trees).min_cuts:
+            c2_fails.add(seed)
+        if cycle_cuts.entries or seed in c2_fails:
+            if maf_edges + cycle_cuts.edges_removed() > 3 * exact_maaf(trees).min_cuts:
+                c3_fails.add(seed)
+        if seed in c2_fails | c3_fails:
+            stalled[seed] = _first_stalled_entry(trees, cuts)
+    assert c2_fails == c3_fails == KNOWN_FAILURES, (sorted(c2_fails), sorted(c3_fails), stalled)
+    print(f"\nn = 12, k = 2 grid: 2000 rows, c2 and c3 fail on {stalled}")
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 11: the cut rule removes 7 edges where the optimum is 2",
 )
-@pytest.mark.parametrize("seed", [145, 1242])
+@pytest.mark.parametrize("seed", sorted(KNOWN_FAILURES))
 def test_c2_c3_bounds_on_known_failures(seed):
     """The c2 and c3 inequalities on two gen instances outside their grids,
     where they fail today. Strict, so a fix of the cut rule shows up here."""

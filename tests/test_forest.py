@@ -123,7 +123,7 @@ def test_cut_edges_matches_nested_reference():
     checked = 0
     before, after = parse("(x1,x2);"), parse("x3;")
     for t, cuts in cut_grid():
-        f = Forest.from_components([before, t, after])
+        f = Forest.from_components([before, t, after], {"x1", "x2", "x3", *t.label_node})
         want = reference_tree.split_reference(t, cuts)
         got = cut_edges(f, [(1, v) for v in cuts]).components
         assert got[0] is before and got[-1] is after
@@ -136,6 +136,43 @@ def test_cut_edges_matches_nested_reference():
                 assert p.sizes == _recount_sizes(p)
         checked += 1
     assert checked > 1500
+
+
+def test_cut_edges_on_several_components_matches_reference():
+    """Cutting two or three components in one call, as overlap and cycle
+    entries do, splices each one's reference pieces into its place, with
+    every later component shifted by the pieces before it, and keeps each
+    untouched component as the same object. The cut components come three
+    at a time from ``cut_grid``, between and beside two that are never cut;
+    every other call leaves the middle one of the three uncut, and every
+    other call lists the edges in reverse."""
+    grid = list(cut_grid())
+    kept = [parse("(x1,x2);"), parse("x3;")]
+    shifted = 0
+    for call, at in enumerate(range(0, len(grid) - 2, 3)):
+        (t0, cuts0), (t1, cuts1), (t2, cuts2) = grid[at : at + 3]
+        comps = [kept[0], t0, t1, kept[1], t2]
+        cut_sets = {1: cuts0, 2: set() if call % 2 else cuts1, 4: cuts2}
+        edges = [(ci, v) for ci, cuts in cut_sets.items() for v in sorted(cuts)]
+        if call % 4 >= 2:
+            edges.reverse()
+        labels = {lab for comp in comps for lab in comp.label_node}
+        got = cut_edges(Forest.from_components(comps, labels), edges).components
+        want, same, split_counts = [], [], []
+        for ci, comp in enumerate(comps):
+            if cut_sets.get(ci):
+                pieces = reference_tree.split_reference(comp, cut_sets[ci])
+                split_counts.append(len(pieces))
+                same += [None] * len(pieces)
+            else:
+                pieces = [comp]
+                same.append(comp)
+            want += pieces
+        where = (call, sorted(edges))
+        assert [(p.parent, p.labels) for p in got] == [(p.parent, p.labels) for p in want], where
+        assert all(s is None or p is s for p, s in zip(got, same)), where
+        shifted += len(split_counts) >= 2 and split_counts[0] > 1
+    assert shifted > 1400, shifted
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))

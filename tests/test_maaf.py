@@ -20,7 +20,7 @@ from mafkit.forest import cut_edges
 from mafkit.maaf import ForestDigraph, find_cycle, is_acyclic
 
 import reference_maaf
-from helpers import forest_canon, forest_newicks, three_cycle_fixture
+from helpers import exact_maaf_forest, forest_canon, forest_newicks, three_cycle_fixture
 
 
 def two_cycle_fixture():
@@ -218,8 +218,6 @@ _CYCLIC_CASES = [
 def test_cycle_cuts_lower_the_acyclic_optimum(n, k, moves, seed):
     """Each cycle-cut pair drops the exact cuts-to-acyclic-forest count by
     at least one. Empirical spot check on pinned instances."""
-    from mafkit.oracle import exact_maaf_forest
-
     trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
     forest, _ = maf_approx(trees)
     _, cycle_cuts = maaf_approx(forest, trees)

@@ -16,9 +16,8 @@ from mafkit import (
 from mafkit import maf
 from mafkit.forest import cut_edges, steiner_nodes
 from mafkit.maf import find_overlap
-from mafkit.oracle import exact_maf_forest
 
-from helpers import forest_canon
+from helpers import exact_maf_forest, forest_canon
 from reference_maf import deepest_shared
 
 

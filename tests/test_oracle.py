@@ -21,12 +21,11 @@ from mafkit import (
 from mafkit import oracle
 from mafkit.forest import cut_edges
 from mafkit.gen import random_tree, spr_move
-from mafkit.oracle import exact_maaf_forest, exact_maf_forest
 from mafkit.tree import restricted_canonical
 
 import reference_oracle
 import reference_tree
-from helpers import canonical, caterpillar
+from helpers import canonical, caterpillar, exact_maaf_forest, exact_maf_forest
 
 
 def test_identical_trees_need_zero_cuts():
