@@ -4,12 +4,17 @@
     python scripts/scaling_benchmark.py --sizes 100 200 400 800 --k 4
     python scripts/scaling_benchmark.py --sizes 1000 --k 8 --moves 40 --json out.json
     python scripts/scaling_benchmark.py --shape caterpillar --sizes 1600 --k 2 --moves 50
+    python scripts/scaling_benchmark.py --shape interleaved --sizes 1600 3200
 
 ``--shape gen`` (the default) takes the ``gen.instance`` trees: one random
 tree and k - 1 copies, each pushed through ``--moves`` SPR moves.
 ``--shape caterpillar`` takes the caterpillar on t1..tn and k - 1 copies,
 each with ``--moves`` seeded random label swaps; these trees are as deep as
-trees get. Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
+trees get. ``--shape interleaved`` takes two caterpillars on n = 2m taxa,
+one on a0, b0, a1, b1, ..., the other on a0 ... a(m-1), b(m-1) ... b0
+(first label deepest), for even n only: every triple cut leaves a deep
+host of O(n) nodes, so this family is quadratic. It ignores ``--k`` and
+``--moves`` (its rows say k = 2, moves = 0). Each row runs ``maf_approx`` then ``maaf_approx`` ``--repeats`` times and
 reports the median seconds of each, then one more run under ``tracemalloc``
 for the peak traced memory of the pair. ``gen_s`` is the median over the
 same repeats of building the row's trees (gen or caterpillars), and
@@ -81,11 +86,22 @@ def _caterpillars(n: int, k: int, swaps: int, seed: int) -> list:
     return trees
 
 
+def _interleaved(n: int) -> list:
+    """The interleaved caterpillar pair on n = 2m taxa."""
+    a = [f"a{i}" for i in range(n // 2)]
+    b = [f"b{i}" for i in range(n // 2)]
+    return [_caterpillar([x for pair in zip(a, b) for x in pair]), _caterpillar(a + b[::-1])]
+
+
 def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dict:
+    if shape == "interleaved":
+        k, moves = 2, 0
     gen_s = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        if shape == "caterpillar":
+        if shape == "interleaved":
+            trees = _interleaved(n)
+        elif shape == "caterpillar":
             trees = _caterpillars(n, k, moves, seed)
         else:
             trees = instance(GenSpec(n=n, k=k, moves=moves, seed=seed))
@@ -143,14 +159,19 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shape", choices=["gen", "caterpillar"], default="gen")
+    parser.add_argument("--shape", choices=["gen", "caterpillar", "interleaved"], default="gen")
     parser.add_argument("--sizes", type=int, nargs="+", default=[25, 50, 100, 200])
-    parser.add_argument("--k", type=int, default=4)
-    parser.add_argument("--moves", type=int, default=4)
+    parser.add_argument("--k", type=int, default=4, help="trees per row; interleaved: always 2")
+    parser.add_argument(
+        "--moves", type=int, default=4,
+        help="SPR moves (gen) or label swaps (caterpillar) per derived tree; interleaved: ignored",
+    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--json", metavar="PATH", help="also write the rows as JSON")
     args = parser.parse_args()
+    if args.shape == "interleaved" and any(n % 2 for n in args.sizes):
+        parser.error("--shape interleaved needs even --sizes")
 
     rows = []
     print(
@@ -161,7 +182,7 @@ def main():
         row = _row(args.shape, n, args.k, args.moves, args.seed, args.repeats)
         rows.append(row)
         print(
-            f"{n:>6} {args.k:>3} {row['gen_s']:>8.3f} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
+            f"{n:>6} {row['k']:>3} {row['gen_s']:>8.3f} {row['maf_s']:>8.3f} {row['maaf_s']:>8.3f} "
             f"{row['parse_s']:>8.4f} {row['agree_s']:>8.4f} {row['peak_mib']:>9.2f} "
             f"{row['cut_edges']:>6} {row['maaf_components']:>7} "
             f"{row.get('exact_s', '-'):>8}"

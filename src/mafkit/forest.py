@@ -72,10 +72,12 @@ def cut_edges(f: Forest, edges) -> Forest:
 
     Within a cut component, the surviving pieces replace it in place, ordered
     by the preorder id of each piece's topmost node (remainder first, then
-    detached subtrees top-down). ``tree.split`` builds them in O(|component|),
-    and they are spliced into a copy of the component list last component
-    first, so no splice shifts an index still to come; the other components
-    are kept as they are. Raises ValueError for edges that do not exist.
+    detached subtrees top-down). ``tree.split`` builds them from slices of
+    the component's labels, so a cut costs the pieces' constructions and no
+    pass over the component. They are spliced into a copy of the component
+    list last component first, so no splice shifts an index still to come;
+    the other components are kept as they are. Raises ValueError for edges
+    that do not exist.
     """
     by_comp: dict[int, set[int]] = {}
     for ci, v in edges:

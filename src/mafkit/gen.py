@@ -90,8 +90,8 @@ def _prune(labels: list, sizes: list, p: int) -> tuple:
     parent q; return the subtree's (labels, sizes).
 
     One root-to-p walk shrinks each ancestor by the subtree plus q. With q
-    deleted the sibling's subtree sits in q's slot, as it does in the
-    remainder that ``tree.split`` builds.
+    deleted the sibling's subtree sits in q's slot, as in the remainder
+    that ``tree.split`` joins from the ranges around p's subtree and q.
     """
     s = sizes[p]
     u = q = 0
@@ -116,6 +116,14 @@ def _spr_step(labels: list, sizes: list, seed: int, stream: int) -> None:
     _graft(labels, sizes, target, *piece)
 
 
+def _tree(labels: list, sizes: list) -> PhyloTree:
+    """The tree whose preorder labels a walk built, handed the walk's
+    ``sizes`` as ``newick.parse`` hands over its taxon map."""
+    t = PhyloTree(labels)
+    t._sizes = sizes
+    return t
+
+
 def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     """Random topology over taxa t1..tn by sequential leaf attachment: each
     new leaf lands on a uniformly chosen spot among all edges plus the
@@ -133,7 +141,7 @@ def random_tree(n: int, seed: int, stream: int = 0) -> PhyloTree:
     for i in range(2, n + 1):
         target = rng.below(len(labels))  # 0 = above the root
         _graft(labels, sizes, target, [f"t{i}"], [1])
-    return PhyloTree(labels)
+    return _tree(labels, sizes)
 
 
 def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
@@ -153,7 +161,7 @@ def spr_move(t: PhyloTree, seed: int, stream: int = 0) -> PhyloTree:
         raise ValueError("SPR needs at least three leaves")
     labels, sizes = list(t.labels), list(t.sizes)
     _spr_step(labels, sizes, seed, stream)
-    return PhyloTree(labels)
+    return _tree(labels, sizes)
 
 
 def instance(spec: GenSpec) -> list:
@@ -174,5 +182,5 @@ def instance(spec: GenSpec) -> list:
         labels, sizes = list(base.labels), list(base.sizes)
         for j in range(spec.moves):
             _spr_step(labels, sizes, spec.seed, i * 65536 + j)
-        trees.append(PhyloTree(labels))
+        trees.append(_tree(labels, sizes))
     return trees

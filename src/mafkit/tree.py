@@ -13,11 +13,13 @@ valid tree.
 Every tree is built from its preorder labels by ``PhyloTree(labels)``:
 taxa on leaves and None on internal nodes fix a binary tree's shape, since a
 left child directly follows its parent. ``newick.parse`` collects the labels
-in its checked pass, ``split`` cuts a tree into pieces by picking out, per
-piece, the labels of the nodes it keeps, and ``gen``'s random growth and SPR
-walks edit the preorder label and size arrays in place and build each tree
-once. Only the constructor writes the ``parent`` array. The children of
-an internal node u need no table: the left one is u + 1 and the right one
+in its checked pass, ``split`` joins each piece's kept preorder ranges
+of its host's labels, found from the cuts alone, and ``gen``'s random
+growth and SPR walks edit the preorder label and size arrays in place and
+build each tree once. Only the constructor writes the ``parent`` array;
+``sizes`` is built on first use unless the builder has it (a walk's
+arrays, a piece that is a whole subtree of its host). The children of an
+internal node u need no table: the left one is u + 1 and the right one
 u + 1 + size(u + 1).
 
 ``below(t, v, u)`` is the one ancestry test: v is at or below u iff
@@ -116,7 +118,8 @@ class PhyloTree:
 
     @property
     def sizes(self) -> list:
-        """Subtree node counts, so subtree(u) = ids [u, u + sizes[u])."""
+        """Subtree node counts, so subtree(u) = ids [u, u + sizes[u]).
+        Built on first access; ``gen`` and ``split`` hand over theirs."""
         if self._sizes is None:
             s = [1] * self.n_nodes
             for u in range(self.n_nodes - 1, 0, -1):
@@ -296,26 +299,47 @@ def split(t: PhyloTree, cut_children) -> list:
     the preorder id of the piece's topmost node (the remainder around the
     old root first). Pieces that hold no leaf are dropped.
 
-    A reverse pass counts, per node, the child edges that are not cut and
-    still lead to a leaf (a leaf counts as 2): each node that counts and
-    is not cut adds one to its parent. A forward pass gives each node the
-    top of its piece. Nodes counting 2 are exactly those the piece keeps,
-    and they come in the piece's own preorder, so their labels build it.
+    No pass over ``t``'s nodes: a node that loses a child drops out of its
+    piece (suppressed with one child left; with none it holds no leaf, so
+    its parent loses it too unless it tops a piece). A piece topped by v
+    keeps v's preorder range less the subtrees of cuts nested in it and
+    its dropped nodes. One sweep over those, with a stack of open pieces,
+    gives each piece its kept ranges, whose labels, joined in order, are
+    its own preorder labels. A piece that is a whole subtree with two or
+    more nodes also takes its ``sizes`` by a slice.
     """
     cut = set(cut_children)
     parent = t.parent
     labels = t.labels
-    n = t.n_nodes
-    count = [0 if lab is None else 2 for lab in labels]
-    for u in range(n - 1, 0, -1):
-        if count[u] and u not in cut:
-            count[parent[u]] += 1
-    top = list(range(n))
-    for u in range(1, n):
-        if u not in cut:
-            top[u] = top[parent[u]]
-    pieces: dict[int, list] = {v: [] for v in sorted({0, *cut})}
-    for u in range(n):
-        if count[u] == 2:
-            pieces[top[u]].append(labels[u])
-    return [PhyloTree(p) for p in pieces.values() if p]
+    sizes = t.sizes
+    lost = {}  # node -> children it lost
+    for v in cut:
+        p = parent[v]
+        lost[p] = lost.get(p, 0) + 1
+        while lost[p] == 2 and p and p not in cut:  # leafless
+            p = parent[p]
+            lost[p] = lost.get(p, 0) + 1
+    root = [len(parent), 0, []]  # an open piece: [end, cursor, kept ranges]
+    pieces, stack = [root], [root]
+    # 2v: cut v opens a piece; 2p + 1: p drops out (of its own piece if p is cut)
+    for e in sorted([2 * v for v in cut] + [2 * p + 1 for p in lost]):
+        x = e >> 1
+        while stack[-1][0] <= x:  # pieces that end at or before x
+            stack.pop()
+        host = stack[-1]
+        host[2].append((host[1], x))
+        host[1] = x + 1 if e & 1 else x + sizes[x]  # x dropped, or x's subtree cut
+        if not e & 1:
+            stack.append([host[1], x, []])
+            pieces.append(stack[-1])
+    out = []
+    for end, cursor, ranges in pieces:
+        ranges.append((cursor, end))
+        kept = []
+        for lo, hi in ranges:
+            kept += labels[lo:hi]
+        if kept:
+            out.append(PhyloTree(kept))
+            if len(ranges) == 1 and hi - lo > 1:  # a whole subtree
+                out[-1]._sizes = sizes[lo:hi]
+    return out

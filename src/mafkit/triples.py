@@ -226,7 +226,7 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:
     if _resolves(t_i, tr.a, tr.b, tr.c):
         raise ValueError(f"triple {tr} is not incompatible with this tree")
 
-    c_node = comp.label_node[tr.c]
+    c_node = comp.labels.index(tr.c)
     sizes = comp.sizes
 
     def child_toward(u: int, target: int) -> int:
@@ -235,7 +235,7 @@ def locate_cuts(f: Forest, tr: Triple, t_i: PhyloTree, memo=None) -> TripleCuts:
         left = u + 1
         return left if target < left + sizes[left] else left + sizes[left]
 
-    edge_a = child_toward(tr.cherry_lca, comp.label_node[tr.a])
+    edge_a = child_toward(tr.cherry_lca, comp.labels.index(tr.a))
     left = tr.cherry_lca + 1
     edge_b = left + sizes[left] if edge_a == left else left
     edge_cherry = child_toward(tr.triple_lca, tr.cherry_lca)

@@ -40,6 +40,15 @@ def depths(t) -> list:
     return d
 
 
+def recount_sizes(t) -> list:
+    """Per node of ``t``, its subtree's node count, recounted from
+    ``t.parent`` alone."""
+    s = [1] * t.n_nodes
+    for u in range(t.n_nodes - 1, 0, -1):
+        s[t.parent[u]] += s[u]
+    return s
+
+
 def nested_tree(nested) -> PhyloTree:
     """The tree of nested pairs, e.g. ``(("a", "b"), "c")``, with children
     in the given order. Iterative, so deep caterpillars do not hit the

@@ -5,13 +5,24 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mafkit import Forest, PhyloTree, SeededRng, is_agreement_forest, parse
+from mafkit import (
+    Forest,
+    GenSpec,
+    PhyloTree,
+    SeededRng,
+    instance,
+    is_agreement_forest,
+    maaf_approx,
+    maf_approx,
+    parse,
+)
+from mafkit import maf
 from mafkit.gen import random_tree
 from mafkit.forest import cut_edges, steiner_nodes
 from mafkit.tree import split
 
 import reference_tree
-from helpers import cut_grid, forest_newicks, nested_tree
+from helpers import cut_grid, forest_newicks, interleaved_pair, nested_tree, recount_sizes
 from reference_tree import validate
 
 
@@ -108,13 +119,6 @@ def test_whole_tree_agrees_with_itself(n, seed):
 # ── differential: preorder-label pieces against the nested-tuple route ──
 
 
-def _recount_sizes(t):
-    s = [1] * t.n_nodes
-    for u in range(t.n_nodes - 1, 0, -1):
-        s[t.parent[u]] += s[u]
-    return s
-
-
 def test_cut_edges_matches_nested_reference():
     """``cut_edges`` gives the pieces that ``cut_pieces`` + ``from_nested``
     gave, in the same order and with the same node tables, on random trees
@@ -133,7 +137,7 @@ def test_cut_edges_matches_nested_reference():
             ], (t.n_leaves, sorted(cuts))
             for p in pieces:
                 validate(p)
-                assert p.sizes == _recount_sizes(p)
+                assert p.sizes == recount_sizes(p)
         checked += 1
     assert checked > 1500
 
@@ -186,4 +190,60 @@ def test_constructor_matches_nested_builder(n, seed):
     for got in (PhyloTree(list(t.labels)), nested_tree(nested)):
         assert got._sizes is None
         assert (got.parent, got.labels) == (want.parent, want.labels)
-        assert got.sizes == _recount_sizes(want)
+        assert got.sizes == recount_sizes(want)
+
+
+def test_whole_subtree_pieces_take_their_hosts_sizes():
+    """On every piece of ``cut_grid``, ``sizes`` handed over by ``split``
+    equal a fresh recount, and a piece that is a whole subtree of its
+    host (topped by a cut with no cut below it, or the uncut tree) carries
+    them exactly when it has two or more nodes. The grid reaches nested
+    cuts, both children of one node cut, and a non-cut node left with no
+    leaf, whose parent then loses it too."""
+    reached = Counter()
+    for t, cuts in cut_grid():
+        pieces = split(t, cuts)
+        for p in pieces:
+            if p._sizes is not None:
+                assert p._sizes == recount_sizes(p), (t.labels, sorted(cuts))
+                reached["carried"] += 1
+        sizes = t.sizes
+        by_labels = {tuple(p.labels): p for p in pieces}
+        for v in cuts or {0}:
+            if any(v < w < v + sizes[v] for w in cuts):
+                reached["nested"] += 1
+                continue
+            p = by_labels[tuple(t.labels[v : v + sizes[v]])]
+            assert (p._sizes is not None) == (sizes[v] > 1), (t.labels, sorted(cuts), v)
+        lost = Counter(t.parent[v] for v in cuts)
+        both = [u for u, c in lost.items() if c == 2]
+        reached["both children"] += bool(both)
+        reached["leafless"] += any(u and u not in cuts for u in both)
+    assert min(reached.values()) > 1000, reached
+
+
+def test_cut_components_get_true_sizes(monkeypatch):
+    """At every ``cut_edges`` call of ``maf_approx`` and ``maaf_approx`` on
+    three gen rows and an interleaved caterpillar pair, each new
+    component's ``sizes``, handed over or built on first use, equal a
+    fresh recount."""
+    checked = Counter()
+    cut = maf.cut_edges
+
+    def checking_cut(f, edges):
+        out = cut(f, edges)
+        old = {id(c) for c in f.components}
+        for c in out.components:
+            if id(c) not in old:
+                checked["handed over"] += c._sizes is not None
+                assert c.sizes == recount_sizes(c), c.labels
+                checked["new"] += 1
+        return out
+
+    monkeypatch.setattr(maf, "cut_edges", checking_cut)
+    rows = [instance(GenSpec(n=n, k=k, moves=moves, seed=seed)) for n, k, moves, seed in (
+        (60, 4, 8, 1), (120, 8, 20, 2), (200, 3, 30, 3))]
+    for trees in rows + [interleaved_pair(40)]:
+        forest, _ = maf_approx(trees)
+        maaf_approx(forest, trees)
+    assert checked["handed over"] > 50 and checked["new"] > 400, checked

@@ -14,7 +14,7 @@ from mafkit import (
 from mafkit.gen import random_tree, spr_move
 
 import reference_gen
-from helpers import canonical
+from helpers import canonical, recount_sizes
 from reference_tree import validate
 
 
@@ -116,6 +116,18 @@ def test_random_tree_matches_reference():
         slow = reference_gen.random_tree(n, seed, stream)
         assert fast.parent == slow.parent, (n, seed, stream)
         assert fast.labels == slow.labels, (n, seed, stream)
+
+
+def test_generated_trees_carry_their_walks_sizes():
+    """``random_tree``, ``spr_move`` and each tree of ``instance`` keep the
+    subtree sizes their walk built, and they equal a fresh recount."""
+    specs = [GenSpec(n, 2 + n % 4, n % 9, seed) for n in range(2, 41) for seed in range(3)]
+    for spec in specs + [GenSpec(300, 3, 80, 1)]:
+        trees = [random_tree(spec.n - 1, spec.seed), *instance(spec)]
+        if spec.n >= 3:
+            trees.append(spr_move(trees[-1], spec.seed, 7))
+        for t in trees:
+            assert t._sizes == recount_sizes(t), spec
 
 
 def _same_tables(fast, slow, case):

@@ -47,3 +47,14 @@ def test_scaling_benchmark_runs_caterpillars(tmp_path):
     assert (row["shape"], row["n"], row["k"], row["moves"]) == ("caterpillar", 8, 2, 2)
     assert row["maaf_components"] >= row["maf_components"] >= 1
     assert "exact_s" in row
+
+
+def test_scaling_benchmark_runs_interleaved(tmp_path):
+    path = tmp_path / "rows.json"
+    _run(
+        "scaling_benchmark.py", "--shape", "interleaved", "--sizes", "8", "--moves", "5",
+        "--repeats", "1", "--json", str(path),
+    )
+    (row,) = json.loads(path.read_text(encoding="utf-8"))["rows"]
+    assert (row["shape"], row["n"], row["k"], row["moves"]) == ("interleaved", 8, 2, 0)
+    assert row["maf_components"] == 7
