@@ -20,7 +20,10 @@ for the peak traced memory of the pair. ``gen_s`` is the median over the
 same repeats of building the row's trees (gen or caterpillars), and
 ``parse_s`` of ``read_trees`` on the instance's ``write_trees`` text. Rows
 with n at most ``oracle.HARD_TAXON_CAP`` also get ``exact_s``, the median
-over the same repeats of ``exact_maf`` plus ``exact_maaf``. ``agree_s`` is
+over the same repeats of ``exact_maf`` plus ``exact_maaf`` on that repeat's
+freshly parsed trees: the exact search resumes where the last search on the
+same tree objects stopped, so on trees kept across repeats every repeat
+after the first would time a search that returns at once. ``agree_s`` is
 the median over the same repeats of ``is_agreement_forest`` on the row's
 MAF forest, an agreement forest, so every per-tree sweep runs to the end.
 ``--json PATH`` also writes the machine, the Python version and every row to
@@ -120,8 +123,8 @@ def _row(shape: str, n: int, k: int, moves: int, seed: int, repeats: int) -> dic
         maf_s.append(t1 - t0)
         maaf_s.append(t2 - t1)
         if n <= HARD_TAXON_CAP:
-            exact_maf(trees)
-            exact_maaf(trees)
+            exact_maf(parsed)
+            exact_maaf(parsed)
             exact_s.append(time.perf_counter() - t2)
         t3 = time.perf_counter()
         agrees = is_agreement_forest(forest, trees)

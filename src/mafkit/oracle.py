@@ -27,12 +27,28 @@ overlap exactly when these masks share a bit. Only a subset that passes both
 tests becomes a ``Forest``, which ``agreement_roots`` must confirm (else
 RuntimeError); for the acyclic variant, its mapped roots then decide
 ``maaf._acyclic`` on cover edges, with no component digraph.
+
+The module keeps a record of the last search: its start components and
+input trees, its partition test with the verdict memo, and its *frontier*,
+the first subset in (size, ``combinations``) order that passed the
+partition test. A search on the same start components and trees resumes
+there with the same memo, so ``exact_maaf`` after ``exact_maf`` on one tree
+list skips every subset the first search rejected. This is exact: both
+searches walk one pool in one order and apply one partition test (the
+acyclic search only adds its check after it), so no subset before the
+frontier passes either, and the memo depends on the start and the trees
+alone. The record matches its inputs by identity, not by content, and holds
+them, so an id is never reused while it stands; a re-parse of the same text
+is new input and starts cold. Any other search replaces the record. With
+concurrent searches the last writer wins: a search keeps the record it
+started with, and the verdict bytes two searches may write are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, dropwhile
+from operator import is_
 
 from .forest import Forest, agreement_roots, check_input_trees, cut_edges
 from .maaf import _acyclic
@@ -41,6 +57,10 @@ HARD_TAXON_CAP = 16
 
 # verdicts in the per-leaf-set memo; 0 means not yet decided
 _AGREES, _DISAGREES = 1, 2
+
+# the last search's start components, input trees, partition test (with its
+# verdict memo) and frontier: the first subset that passed, None until one has
+_last = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +76,8 @@ class OracleResult:
 
 def _node_masks(start: Forest, trees):
     """Taxon name -> leaf bit, and the mask of the leaves below every node:
-    per start component, then per input tree (index = node id)."""
+    per start component, then per input tree (index = node id). An input
+    tree that is a start component gets that component's list."""
     leaf_bit = {lab: 1 << i for i, lab in enumerate(sorted(start.origin_labels))}
 
     def masks(t):  # children follow their parent in preorder
@@ -66,17 +87,22 @@ def _node_masks(start: Forest, trees):
             mask[par[u]] |= mask[u]
         return mask
 
-    return leaf_bit, [masks(comp) for comp in start.components], [masks(t) for t in trees]
+    below = [masks(comp) for comp in start.components]
+    own = {id(comp): m for comp, m in zip(start.components, below)}
+    return leaf_bit, below, [own.get(id(t)) or masks(t) for t in trees]
 
 
 def _leaf_set_agrees(piece: int, below, tree_masks) -> bool:
     """Whether the leaf set ``piece``, which lies inside one start component,
     has the same restriction there as in every input tree: the same
-    clusters, the nonzero ``mask & piece`` over each tree's nodes."""
+    clusters, the nonzero ``mask & piece`` over each tree's nodes. A tree
+    whose mask list is the component's own agrees trivially."""
     home = next(masks for masks in below if masks[0] & piece)
     clusters = {m & piece for m in home}
     clusters.discard(0)
     for masks in tree_masks:
+        if masks is home:
+            continue
         found = {m & piece for m in masks}
         found.discard(0)
         if found != clusters:
@@ -132,6 +158,7 @@ def _partition_test(start: Forest, trees):
 
 
 def _search(start: Forest, trees, max_cuts, acyclic: bool):
+    global _last
     n_taxa = len(start.origin_labels)
     if n_taxa > HARD_TAXON_CAP:
         raise ValueError(
@@ -139,13 +166,21 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
         )
     if max_cuts is not None and max_cuts < 0:
         raise ValueError(f"cut budget must be non-negative, got {max_cuts}")
-    agrees = _partition_test(start, trees)
+    last = _last
+    if not (last and _same(last[0], start.components) and _same(last[1], trees)):
+        last = _last = [start.components, tuple(trees), _partition_test(start, trees), None]
+    agrees, frontier = last[2], last[3] or ()
     pool = start.all_edges()
     budget = len(pool) if max_cuts is None else min(max_cuts, len(pool))
-    for size in range(budget + 1):
-        for subset in combinations(pool, size):
+    for size in range(len(frontier), budget + 1):
+        subsets = combinations(pool, size)
+        if size == len(frontier):
+            subsets = dropwhile(frontier.__ne__, subsets)
+        for subset in subsets:
             if not agrees(subset):
                 continue
+            if last[3] is None:
+                last[3] = subset
             candidate = cut_edges(start, subset)
             roots = agreement_roots(candidate, trees)
             if roots is None:
@@ -156,6 +191,10 @@ def _search(start: Forest, trees, max_cuts, acyclic: bool):
     return None
 
 
+def _same(held, given) -> bool:
+    return len(held) == len(given) and all(map(is_, held, given))
+
+
 def exact_maf(trees, max_cuts=None):
     """Fewest edges of the first tree to cut for an agreement forest, with a
     witness; None if over ``max_cuts`` (None or non-negative)."""
@@ -164,6 +203,10 @@ def exact_maf(trees, max_cuts=None):
 
 
 def exact_maaf(trees, max_cuts=None):
+    """Fewest edges of the first tree to cut for an acyclic agreement
+    forest, with a witness; None if over ``max_cuts`` (None or
+    non-negative). After ``exact_maf`` on the same tree objects it resumes
+    at that search's frontier (module docstring)."""
     trees = check_input_trees(trees)
     return _search(Forest.from_tree(trees[0]), trees, max_cuts, acyclic=True)
 

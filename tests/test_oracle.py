@@ -168,6 +168,65 @@ def test_search_matches_reference():
     assert split_starts >= 50 and short_budgets >= 90, (split_starts, short_budgets)
 
 
+def test_search_order_and_budgets_match_reference():
+    """Searches on the same objects share one record (the ``oracle`` module
+    docstring), yet each returns what the reference returns from scratch:
+    maaf then maf, a short maf then maaf then maf, a short maaf then maf,
+    maf and maaf from split starts in both orders, and searches from the
+    first tree and from a split start on the same trees in turn. Each
+    sequence also runs with a search on other trees (two copies of the last
+    tree, where every leaf set agrees) before and after every step. The
+    rows and starts are those of ``test_search_matches_reference``; a short
+    budget is one below the maf optimum of its start."""
+    steps = shorts = 0
+    for idx in range(40):
+        rng = SeededRng(71, stream=idx)
+        spec = GenSpec(
+            n=3 + rng.below(7), k=2 + rng.below(3), moves=rng.below(4), seed=idx
+        )
+        trees = instance(spec)
+        first = Forest.from_tree(trees[0])
+        pool = first.all_edges()
+        random_cut = cut_edges(first, [pool[rng.below(len(pool))] for _ in range(2)])
+        starts = [first, maf_approx(trees[:2])[0], random_cut]
+        refs = {}
+        for si, f in enumerate(starts):
+            refs[False, si] = reference_oracle.exact_maf_forest(f, trees)
+            refs[True, si] = reference_oracle.exact_maaf_forest(f, trees)
+        other = [trees[-1], trees[-1]]
+
+        def run(acyclic, si, budget=None):
+            if si == 0:
+                got = (exact_maaf if acyclic else exact_maf)(trees, max_cuts=budget)
+            else:
+                search = exact_maaf_forest if acyclic else exact_maf_forest
+                got = search(starts[si], trees, max_cuts=budget)
+            expected = refs[acyclic, si]
+            if budget is not None and expected.min_cuts > budget:
+                expected = None
+            assert _result_key(got) == _result_key(expected), (spec, acyclic, si, budget)
+
+        sequences = [[(True, 0), (False, 0)], [(False, 0), (False, 1), (True, 0), (True, 2)]]
+        for si in range(3):
+            short = max(refs[False, si].min_cuts - 1, 0)
+            shorts += short < refs[False, si].min_cuts
+            sequences += [
+                [(False, si, short), (True, si), (False, si)],
+                [(True, si, short), (False, si)],
+            ]
+            if si:
+                sequences += [[(False, si), (True, si)], [(True, si), (False, si)]]
+        for sequence in sequences:
+            for between in (False, True):
+                exact_maf(other)
+                for step in sequence:
+                    run(*step)
+                    steps += 1
+                    if between:
+                        assert exact_maf(other).min_cuts == 0
+    assert steps >= 2000 and shorts >= 50, (steps, shorts)
+
+
 def _verdict_cases():
     """30 seeded ``gen`` instances (n 3-10, k 2-4) and 8 caterpillar ones:
     a caterpillar on 3-10 taxa and 1-3 more trees, each the caterpillar with

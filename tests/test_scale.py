@@ -1,16 +1,18 @@
 """Scale guards: the triple search must stay far from its old cubic time and
 quadratic memory, the checks over a forest's components must not redo a
 per-component restriction or embedding, the exact search must restrict
-nothing, parsing must stay linear and iterative, generation must build
+nothing and share its verdicts with the next search on the same trees,
+parsing must stay linear and iterative, generation must build
 each tree once, cuts must build their pieces without nested tuples, a
 tree must keep no table beside its parent links and labels, and the cycle
 phase must leave single leaves out. The bounds are generous, so a pass is
 not luck and a failure means a return to a per-triple scan, a pairwise
 table, a rescan of outer levels, a rescan of every component, a canonical
 string per leaf set, a recursive parser, a rebuild per SPR move, a
-nested-tuple detour per cut, a per-node child table or a cycle test on
-components that dominate nothing. Each time guard fails once its bound
-passes, not when a slow run ends."""
+nested-tuple detour per cut, a per-node child table, a cycle test on
+components that dominate nothing or a verdict decided twice by exact
+searches on the same trees. Each time guard fails once its bound passes,
+not when a slow run ends."""
 
 import gc
 import sys
@@ -31,9 +33,11 @@ from mafkit import (
     maaf_approx,
     maf_approx,
     parse,
+    read_trees,
     serialize,
+    write_trees,
 )
-from mafkit import maaf, maf, tree, triples
+from mafkit import maaf, maf, oracle, tree, triples
 from mafkit.forest import agreement_roots, steiner_nodes
 from mafkit.gen import random_tree, spr_move
 from mafkit.maaf import mapped_roots
@@ -183,6 +187,31 @@ def test_exact_search_restricts_nothing(monkeypatch):
     assert exact_maf(trees).min_cuts > 0
     assert exact_maaf(trees).min_cuts > 0
     assert not calls, f"{len(calls)} restricted_canonical calls"
+
+
+def test_exact_searches_on_the_same_trees_decide_each_leaf_set_once(monkeypatch):
+    """Counts, on the same instance: ``exact_maaf`` after ``exact_maf`` on
+    the same tree list decides no leaf set again (a memo per search
+    repeated 689 verdicts here, 3173 over the benchmark's oracle grid), and
+    a search on a re-parse of the same text makes as many verdict calls as
+    the cold search, so nothing carries over between parses."""
+    text = write_trees(instance(GenSpec(n=10, k=3, moves=3, seed=5)))
+    pieces = Counter()
+    real = oracle._leaf_set_agrees
+
+    def counting(piece, below, tree_masks):
+        pieces[piece] += 1
+        return real(piece, below, tree_masks)
+
+    monkeypatch.setattr(oracle, "_leaf_set_agrees", counting)
+    trees = read_trees(text)
+    assert exact_maf(trees).min_cuts > 0
+    cold = sum(pieces.values())
+    assert exact_maaf(trees).min_cuts > 0
+    assert cold and max(pieces.values()) == 1, Counter(pieces.values())
+    pieces.clear()
+    assert exact_maf(read_trees(text)).min_cuts > 0
+    assert sum(pieces.values()) == cold
 
 
 def test_embeddings_computed_once(monkeypatch):
