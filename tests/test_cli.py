@@ -1,6 +1,15 @@
-"""CLI surface: reports, formats, exit codes, golden output."""
+"""CLI surface: reports, formats, exit codes, golden output.
 
+``tests/golden/cli_outputs.json`` pins the exit code, stdout and stderr (less
+the ``# wall_time_ms`` line) of every command on two inputs. Regenerate it
+only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_cli.py > tests/golden/cli_outputs.json
+"""
+
+import contextlib
 import io
+import tempfile
 import json
 import os
 import subprocess
@@ -16,6 +25,32 @@ GOLDEN = Path(__file__).parent / "golden"
 
 PAIR = "((a,b),c);\n((a,c),b);\n"
 
+# Golden cases: argv with the placeholders PAIR, GEN (the gen case's output:
+# maf gives 6 components and maaf 8), GOOD and BAD (check's forest files).
+GEN_ARGV = ["gen", "--n", "9", "--k", "3", "--moves", "3", "--seed", "10"]
+CHECK_FORESTS = {"GOOD": "(a,b);\nc;\n", "BAD": "((a,b),c);\n"}
+GOLDEN_ARGVS = [
+    GEN_ARGV,
+    *(
+        [command, source, *fmt, *oracle]
+        for source in ("PAIR", "GEN")
+        for command in ("maf", "maaf", "rspr", "hyb")
+        for fmt in ([], ["--format", "newick"], ["--format", "dot"])
+        for oracle in ([], ["--oracle"])
+    ),
+    ["maf", "PAIR", "--oracle", "--max-cuts", "0"],
+    ["maf", "PAIR", "--oracle", "--max-cuts", "-1"],
+    ["maf", "PAIR", "--verbose"],
+    ["maaf", "GEN", "--verbose"],
+    ["exact", "GEN", "--mode", "maf"],
+    ["exact", "GEN", "--mode", "maaf"],
+    ["exact", "PAIR", "--max-cuts", "0"],
+    ["exact", "PAIR", "--max-cuts", "-1"],
+    ["check", "PAIR", "GOOD"],
+    ["check", "PAIR", "BAD"],
+]
+GOLDEN_OUTPUTS = GOLDEN / "cli_outputs.json"
+
 
 @pytest.fixture
 def pair_file(tmp_path):
@@ -28,6 +63,66 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _golden_inputs(directory: Path) -> dict:
+    """Write the golden cases' input files; map each placeholder to its path."""
+    texts = {"PAIR": PAIR, "GEN": _call(GEN_ARGV)[1], **CHECK_FORESTS}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(directory / f"{name}.nwk")
+        Path(paths[name]).write_text(text)
+    return paths
+
+
+def _outcome(code, out, err) -> dict:
+    err = "".join(ln for ln in err.splitlines(True) if not ln.startswith("# wall_time_ms"))
+    return {"exit": code, "stdout": out, "stderr": err}
+
+
+def cli_outputs(directory: Path) -> dict:
+    paths = _golden_inputs(directory)
+    return {
+        " ".join(argv): _outcome(*_call([paths.get(a, a) for a in argv]))
+        for argv in GOLDEN_ARGVS
+    }
+
+
+def test_every_command_matches_golden(tmp_path):
+    golden = json.loads(GOLDEN_OUTPUTS.read_text(encoding="utf-8"))
+    got = cli_outputs(tmp_path)
+    assert list(got) == list(golden)
+    for key, outcome in got.items():
+        assert outcome == golden[key], key
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_golden_outputs_do_not_depend_on_hash_seed(tmp_path, seed):
+    """Output that followed string-hash order would differ between runs in
+    fresh interpreters, which no in-process comparison can show."""
+    golden = json.loads(GOLDEN_OUTPUTS.read_text(encoding="utf-8"))
+    paths = _golden_inputs(tmp_path)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(mafkit.__file__).parents[1]),
+        "PYTHONHASHSEED": seed,
+    }
+    for argv in (GEN_ARGV, ["hyb", "GEN", "--oracle"], ["maaf", "GEN", "--format", "dot"]):
+        result = subprocess.run(
+            [sys.executable, "-m", "mafkit", *(paths.get(a, a) for a in argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        outcome = _outcome(result.returncode, result.stdout, result.stderr)
+        assert outcome == golden[" ".join(argv)], argv
 
 
 def test_maf_json_report(capsys, pair_file):
@@ -238,3 +333,8 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("# gen n=4")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as directory:
+        print(json.dumps(cli_outputs(Path(directory)), indent=1))
