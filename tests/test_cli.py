@@ -266,7 +266,7 @@ def test_exit_code_budget(capsys, pair_file):
 
 
 def test_negative_budget_is_invalid(capsys, pair_file):
-    for argv in (["exact", pair_file], ["maf", pair_file, "--oracle"]):
+    for argv in (["exact", pair_file], ["maf", pair_file, "--oracle"], ["maf", pair_file]):
         code, out, err = run(capsys, [*argv, "--max-cuts", "-1"])
         assert code == 2 and not out
         assert "invalid instance" in err and "non-negative" in err
